@@ -60,14 +60,6 @@ def build_parser():
         "on error-severity findings before replaying (see repro-lint)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="replay derivation chunks across N worker processes "
-        "(0 = one per CPU; default: sequential). Requests are clamped "
-        "to the CPUs available; single-CPU hosts replay sequentially. "
-        "Parallel and sequential modes accept/reject exactly the same "
-        "proofs",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="no statistics output"
     )
     parser.add_argument(
@@ -144,7 +136,7 @@ def _run(args, recorder, budget):
     try:
         result = check_proof(
             store, axioms=axioms, require_empty=True, recorder=recorder,
-            budget=budget, jobs=args.jobs,
+            budget=budget,
         )
     except BudgetExhausted as exc:
         print("UNDECIDED: %s" % exc)

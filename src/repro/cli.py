@@ -16,7 +16,7 @@ from .aig.aiger import read_auto
 from .baselines.bdd_cec import bdd_check
 from .baselines.monolithic import monolithic_check
 from .core.cec import check_equivalence
-from .core.certify import certify
+from .core.certify import CertificationError, certify
 from .core.fraig import SweepOptions
 from .exit_codes import (
     EXIT_INVALID_INPUT,
@@ -24,7 +24,7 @@ from .exit_codes import (
     EXIT_OK,
     EXIT_UNDECIDED,
 )
-from .instrument import Budget, Recorder, maybe_profile
+from .instrument import NULL_RECORDER, Budget, Recorder, maybe_profile
 from .proof.drup import write_drup
 from .proof.stats import proof_stats
 from .proof.trim import trim
@@ -75,16 +75,6 @@ def build_parser():
         help="pre-flight the input netlists with the static linter "
         "(exit 3 on error findings) and, with --certify, lint the "
         "proof before replaying it (see repro-lint)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --certify, replay the proof across N worker "
-        "processes (0 = one per CPU; default: sequential). Requests "
-        "are clamped to the CPUs available, and single-CPU hosts "
-        "replay sequentially rather than fork uselessly",
     )
     parser.add_argument(
         "--sim-words",
@@ -156,7 +146,8 @@ def main(argv=None):
 
     Exit codes: 0 = equivalent, 1 = not equivalent, 2 = undecided
     (budget exhausted or engine gave up), 3 = invalid input (missing or
-    malformed files, lint-rejected netlists, bad flag combinations).
+    malformed files, lint-rejected netlists, bad flag combinations, a
+    certificate that fails ``--certify``).
     """
     args = build_parser().parse_args(argv)
     if args.server:
@@ -289,9 +280,9 @@ def _run_remote(args):
     if not args.quiet and response.get("cached"):
         print("c served from proof cache (job %s)" % response.get("job"))
     if args.certify and result.equivalent:
-        certify(result, jobs=args.jobs, lint=args.lint)
-        if not args.quiet:
-            print("certified: proof replayed successfully")
+        code = _certify(result, args, NULL_RECORDER)
+        if code is not None:
+            return code
     if args.stats_json:
         import json
 
@@ -338,13 +329,26 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
         aig_a, aig_b, options, recorder=recorder, budget=budget
     )
     if args.certify and result.equivalent:
-        certify(result, jobs=args.jobs, lint=args.lint)
-        if not args.quiet:
-            print("certified: proof replayed successfully")
+        code = _certify(result, args, recorder)
+        if code is not None:
+            return code
     return _report(
         result.equivalent, result.counterexample, result.proof,
         result.cnf, args, recorder=recorder, budget=budget,
     )
+
+
+def _certify(result, args, recorder):
+    """Replay *result*'s proof; returns exit 3 when it is invalid."""
+    try:
+        with recorder.phase("cec/certify"):
+            certify(result, lint=args.lint)
+    except CertificationError as exc:
+        print("certificate INVALID: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    if not args.quiet:
+        print("certified: proof replayed successfully")
+    return None
 
 
 def _preflight_lint(aig_a, aig_b, args, recorder):

@@ -7,16 +7,14 @@ empty clause. It shares only the tiny :func:`repro.proof.store.resolve`
 primitive with the producer side (and that primitive is itself exercised
 against a second, set-based implementation in the test suite).
 
-Each clause's validation depends only on the *stored* antecedent clauses,
-never on the antecedents having been validated first, so clauses can be
-checked in any order — the basis of the multiprocessing pipeline in
-:mod:`repro.proof.parallel`, reachable from here via ``jobs=N``.
+Replay is sequential, in clause-id order, so the first invalid clause
+is always the one reported.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Optional, Set
+from typing import Any, Iterable, Optional, Set
 
 from .store import AXIOM, DERIVED, Chain, Clause, ProofError, ProofStore, \
     resolve
@@ -57,75 +55,12 @@ class CheckResult:
         )
 
 
-def check_clause(
-    clause_id: int,
-    clause: Clause,
-    kind: str,
-    chain: Optional[Chain],
-    get_clause: Callable[[int], Clause],
-    allowed: Optional[Set[Clause]],
-) -> int:
-    """Validate one proof clause; returns the resolution steps replayed.
-
-    This is the unit of work shared verbatim by the sequential loop below
-    and the parallel chunk workers, so both modes raise byte-identical
-    :class:`~repro.proof.store.ProofError` messages for the same defect.
-
-    Args:
-        clause_id: the clause's id (for error reporting and the
-            prior-reference check).
-        clause: the claimed clause tuple.
-        kind: ``AXIOM`` or ``DERIVED``.
-        chain: the derivation chain (``None`` for axioms).
-        get_clause: callable mapping a clause id to its stored tuple.
-        allowed: optional frozen set of normalized axiom clauses.
-    """
-    if kind == AXIOM:
-        if allowed is not None and clause not in allowed:
-            raise ProofError(
-                "axiom %d = %r is not a clause of the reference CNF"
-                % (clause_id, clause),
-                clause_id=clause_id,
-                rule_id="proof.axiom-foreign",
-            )
-        return 0
-    if kind == DERIVED:
-        if chain is None:
-            raise ProofError(
-                "derived clause %d has no chain" % clause_id,
-                clause_id=clause_id,
-                rule_id="proof.chain-arity",
-            )
-        _require_prior(chain[0], clause_id, chain)
-        current = get_clause(chain[0])
-        steps = 0
-        for pivot, antecedent_id in chain[1:]:
-            _require_prior(antecedent_id, clause_id, chain)
-            current = resolve(current, get_clause(antecedent_id), pivot)
-            steps += 1
-        if current != clause:
-            raise ProofError(
-                "clause %d claims %r but chain yields %r"
-                % (clause_id, clause, current),
-                clause_id=clause_id,
-                rule_id="proof.chain-mismatch",
-                chain=chain,
-            )
-        return steps
-    raise ProofError(
-        "clause %d has unknown kind %r" % (clause_id, kind),
-        clause_id=clause_id,
-        rule_id="proof.unknown-kind",
-    )
-
-
 def check_proof(
     store: ProofStore,
     axioms: Optional[Iterable[Iterable[int]]] = None,
     require_empty: bool = True,
     recorder: Optional[Any] = None,
     budget: Optional[Any] = None,
-    jobs: Optional[int] = None,
 ) -> CheckResult:
     """Verify every derivation in *store*.
 
@@ -138,21 +73,13 @@ def check_proof(
         require_empty: when true, fail unless some clause is empty.
         recorder: optional
             :class:`~repro.instrument.recorder.Recorder`; records the
-            replay timing (``check/replay``, or ``check/parallel-replay``
-            under *jobs*) plus clause/resolution counters.
+            replay timing (``check/replay``) plus clause/resolution
+            counters.
         budget: optional :class:`~repro.instrument.budget.Budget`,
             consulted every 256 clauses. A checker cannot degrade to a
             partial verdict, so exhaustion raises
             :class:`~repro.instrument.budget.BudgetExhausted` instead of
             returning.
-        jobs: when > 1, replay derivation chunks on the persistent
-            checker pool over a shared clause arena (``0`` means one
-            per CPU); see :mod:`repro.proof.parallel`. The request is
-            clamped to the CPUs available, and single-CPU hosts replay
-            sequentially (the ``check/parallel_fallback`` gauge names
-            the reason). Accepts and rejects exactly the same proofs as
-            the sequential mode, with the same error for the smallest
-            failing clause id. ``None`` or ``1`` checks sequentially.
 
     Returns:
         A :class:`CheckResult`.
@@ -162,13 +89,6 @@ def check_proof(
             (when *require_empty*) missing empty clause.
         BudgetExhausted: when *budget* runs out mid-replay.
     """
-    if jobs is not None and jobs != 1:
-        from .parallel import check_proof_parallel
-
-        return check_proof_parallel(
-            store, axioms=axioms, require_empty=require_empty,
-            recorder=recorder, budget=budget, jobs=jobs,
-        )
     instrumented = recorder is not None and recorder.enabled
     start = time.perf_counter() if instrumented else 0.0
     allowed = prepare_axioms(axioms)
@@ -184,12 +104,42 @@ def check_proof(
         kind = store.kind(clause_id)
         if kind == AXIOM:
             num_axioms += 1
-        else:
+            if allowed is not None and clause not in allowed:
+                raise ProofError(
+                    "axiom %d = %r is not a clause of the reference CNF"
+                    % (clause_id, clause),
+                    clause_id=clause_id,
+                    rule_id="proof.axiom-foreign",
+                )
+        elif kind == DERIVED:
             num_derived += 1
-        num_resolutions += check_clause(
-            clause_id, clause, kind, store.chain(clause_id), get_clause,
-            allowed,
-        )
+            chain = store.chain(clause_id)
+            if chain is None:
+                raise ProofError(
+                    "derived clause %d has no chain" % clause_id,
+                    clause_id=clause_id,
+                    rule_id="proof.chain-arity",
+                )
+            _require_prior(chain[0], clause_id, chain)
+            current = get_clause(chain[0])
+            for pivot, antecedent_id in chain[1:]:
+                _require_prior(antecedent_id, clause_id, chain)
+                current = resolve(current, get_clause(antecedent_id), pivot)
+            num_resolutions += len(chain) - 1
+            if current != clause:
+                raise ProofError(
+                    "clause %d claims %r but chain yields %r"
+                    % (clause_id, clause, current),
+                    clause_id=clause_id,
+                    rule_id="proof.chain-mismatch",
+                    chain=chain,
+                )
+        else:
+            raise ProofError(
+                "clause %d has unknown kind %r" % (clause_id, kind),
+                clause_id=clause_id,
+                rule_id="proof.unknown-kind",
+            )
         if not clause and empty_id is None:
             empty_id = clause_id
     if require_empty and empty_id is None:

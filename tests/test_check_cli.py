@@ -45,15 +45,6 @@ class TestValid:
         main([trace, "--quiet"])
         assert "resolutions" not in capsys.readouterr().out
 
-    def test_jobs_flag(self, artifacts, capsys):
-        trace, cnf, _ = artifacts
-        assert main([trace, "--cnf", cnf, "--jobs", "2"]) == 0
-        assert capsys.readouterr().out.startswith("VALID")
-
-    def test_jobs_zero_means_all_cpus(self, artifacts):
-        trace, cnf, _ = artifacts
-        assert main([trace, "--cnf", cnf, "--jobs", "0"]) == 0
-
 
 class TestInvalid:
     def test_foreign_axiom(self, artifacts, capsys):
@@ -62,15 +53,6 @@ class TestInvalid:
         write_dimacs(CNF(clauses=CLAUSES[:2]), str(small))
         assert main([trace, "--cnf", str(small)]) == 1
         assert "INVALID" in capsys.readouterr().out
-
-    def test_foreign_axiom_with_jobs(self, artifacts, capsys):
-        trace, _, tmp_path = artifacts
-        small = tmp_path / "small.cnf"
-        write_dimacs(CNF(clauses=CLAUSES[:2]), str(small))
-        assert main([trace, "--cnf", str(small)]) == 1
-        seq_out = capsys.readouterr().out
-        assert main([trace, "--cnf", str(small), "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == seq_out
 
     def test_corrupted_trace(self, artifacts, capsys):
         trace, _, tmp_path = artifacts

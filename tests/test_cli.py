@@ -1,10 +1,22 @@
 """Tests for the repro-cec command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro.cli
 from repro.aig import lit_not, write_aag, write_aig
 from repro.circuits import carry_lookahead_adder, ripple_carry_adder
 from repro.cli import build_parser, main
+from repro.core.certify import CertificationError
+from repro.instrument.recorder import validate_report
+
+SRC_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "src")
+)
 
 
 @pytest.fixture
@@ -18,6 +30,11 @@ def circuit_files(tmp_path):
     broken.set_output(1, lit_not(broken.outputs[1]))
     write_aag(broken, str(bad))
     return str(good_a), str(good_b), str(bad)
+
+
+def reject_certificate(result, **kwargs):
+    """Stand-in for ``certify`` that rejects every certificate."""
+    raise CertificationError("resolution check failed: forged")
 
 
 class TestParser:
@@ -67,10 +84,29 @@ class TestMain:
         assert main([file_a, file_b, "--certify"]) == 0
         assert "certified" in capsys.readouterr().out
 
-    def test_certify_with_jobs(self, circuit_files, capsys):
+    def test_rejected_certificate_is_invalid_input(
+        self, circuit_files, monkeypatch, capsys
+    ):
+        # Exit 1 means "circuits differ"; a certificate that fails its
+        # replay is exit 3 with a message, never a traceback.
         file_a, file_b, _ = circuit_files
-        assert main([file_a, file_b, "--certify", "--jobs", "2"]) == 0
-        assert "certified" in capsys.readouterr().out
+        monkeypatch.setattr(repro.cli, "certify", reject_certificate)
+        assert main([file_a, file_b, "--certify"]) == 3
+        captured = capsys.readouterr()
+        assert "certificate INVALID: resolution check failed: forged" \
+            in captured.err
+        assert "EQUIVALENT" not in captured.out
+
+    def test_certify_phase_in_stats_json(self, circuit_files, tmp_path):
+        file_a, file_b, _ = circuit_files
+        stats_path = tmp_path / "stats.json"
+        assert main([
+            file_a, file_b, "--certify", "--quiet",
+            "--stats-json", str(stats_path),
+        ]) == 0
+        report = validate_report(json.loads(stats_path.read_text()))
+        assert report["phases"]["cec/certify"]["count"] == 1
+        assert report["phases"]["cec/certify"]["seconds"] > 0
 
     def test_monolithic_engine(self, circuit_files, capsys):
         file_a, file_b, _ = circuit_files
@@ -134,9 +170,32 @@ class TestServerPassthrough:
             [file_a, bad, "--server", server.address, "--quiet"]
         ) == 1
 
+    def test_rejected_certificate_is_invalid_input(
+        self, server, circuit_files, monkeypatch, capsys
+    ):
+        file_a, file_b, _ = circuit_files
+        monkeypatch.setattr(repro.cli, "certify", reject_certificate)
+        assert main(
+            [file_a, file_b, "--server", server.address, "--certify"]
+        ) == 3
+        assert "certificate INVALID" in capsys.readouterr().err
+
     def test_missing_file_is_invalid_input(self, server, capsys):
         assert main(
             ["/nonexistent/a.aag", "/nonexistent/b.aag",
              "--server", server.address]
         ) == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_does_not_load_multiprocessing(self):
+        # Every repro-cec process pays for what ``import repro.cli``
+        # pulls in; process-pool machinery has no place on that path.
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, sys; "
+             "assert 'multiprocessing' not in sys.modules"],
+            env=env, check=True,
+        )

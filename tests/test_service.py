@@ -236,26 +236,6 @@ class TestExecuteJob:
         assert response["ok"] is True
         assert "service/certify" in response["stats"]["phases"]
 
-    def test_in_worker_certify_with_jobs(self, adder_pair):
-        """The submit ``jobs`` field reaches the proof replay (on a
-        small proof / few CPUs it degrades to the sequential fallback,
-        which is the point: the worker never forks uselessly)."""
-        response = execute_job({
-            "aag_a": adder_pair[0], "aag_b": adder_pair[1],
-            "certify": True, "jobs": 2,
-        })
-        assert response["ok"] is True
-        assert "service/certify" in response["stats"]["phases"]
-
-    def test_certify_jobs_must_be_an_int(self, adder_pair):
-        response = execute_job({
-            "aag_a": adder_pair[0], "aag_b": adder_pair[1],
-            "certify": True, "jobs": "many",
-        })
-        assert response["ok"] is False
-        assert response["error"]["code"] == "bad-input"
-        assert "jobs" in response["error"]["message"]
-
 
 class TestServerEndToEnd:
     def test_ping(self, server):
@@ -292,6 +272,20 @@ class TestServerEndToEnd:
             assert submitted["cached"] is True
             stats = client.stats()
         assert stats["counters"]["service/cache-hits"] >= 1
+
+    def test_stale_jobs_field_is_ignored(self, server, adder_pair):
+        # Older clients sent a ``jobs`` field (parallel proof replay);
+        # the server builds the worker payload from named keys, so the
+        # field is dropped and the certified check still succeeds.
+        with ServiceClient(server.address) as client:
+            submitted = client.request({
+                "verb": "submit", "aag_a": adder_pair[0],
+                "aag_b": adder_pair[1], "certify": True, "jobs": "many",
+            })
+            response = client.result(submitted["job"], wait=True)
+        assert response["verdict"] == "equivalent"
+        stats = validate_report(response["worker_stats"])
+        assert "service/certify" in stats["phases"]
 
     def test_bad_input_is_structured(self, server, adder_pair):
         with ServiceClient(server.address) as client:
