@@ -1,4 +1,4 @@
-"""Fleet benchmark: sharded throughput behind the asyncio router.
+"""Fleet benchmark: sharded throughput behind a router.
 
 Runnable standalone (used by the CI fleet-smoke job) or under the
 benchmark harness::
@@ -11,7 +11,8 @@ equivalence checks through two configurations:
 
 * **single** — one in-process ``CecServer`` (one solver worker),
   clients connect directly;
-* **fleet** — the same workload through ``repro-router`` fronting two
+* **fleet** — the same workload through a router (a ``CecServer``
+  with ``shards=...``, what ``repro-router`` runs) fronting two
   identically-sized shards, so the consistent-hash ring spreads the
   solves over twice the worker capacity.
 
@@ -41,7 +42,7 @@ from repro.circuits import (
     kogge_stone_adder,
     ripple_carry_adder,
 )
-from repro.fleet import AsyncServiceClient, FleetRouter
+from repro.fleet import AsyncServiceClient
 from repro.service import CecServer
 
 #: Two-shard fleet vs one shard: required gain on real hardware.
@@ -129,11 +130,11 @@ async def _run_fleet(scratch, workload, concurrency):
         )
         shard.start()
         shards.append(shard)
-    router = FleetRouter(
+    router = CecServer(
         scratch + "/router.sock",
-        [shard.address for shard in shards],
+        shards=[shard.address for shard in shards],
     )
-    await router.start()
+    router.start()
     try:
         measured = await _drive(
             scratch + "/router.sock", workload, concurrency
@@ -147,7 +148,7 @@ async def _run_fleet(scratch, workload, concurrency):
         }
         return measured
     finally:
-        await router.close()
+        router.close()
         for shard in shards:
             shard.close()
 

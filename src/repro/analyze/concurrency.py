@@ -1,7 +1,7 @@
 """AST concurrency-hazard rules for the multi-process stack.
 
-The engine's concurrent substrate — handler threads over a locked
-:class:`~repro.service.jobs.JobTable`, process worker pools — and any
+The engine's concurrent substrate — the service's event loop beside
+its process worker pools — and any
 shared-memory segment or pool added later is exactly where the paper's
 soundness story ("every verdict backed by a checkable proof") can
 break without any bad resolution step: a racy mutation, a leaked

@@ -65,7 +65,7 @@ PHASE_REGISTRY: FrozenSet[str] = frozenset({
     "cache/store",
     # service client (one span/timer around a submitted request)
     "client/request",
-    # fleet/router.py (front-door hop and cross-shard cache transfer)
+    # fleet/shards.py (front-door hop and cross-shard cache transfer)
     "fleet/route",
     "fleet/cache-transfer",
 })

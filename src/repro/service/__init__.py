@@ -16,8 +16,17 @@ from .cache import ProofCache, cache_key, canonical_options
 from .client import ServiceClient, ServiceError
 from .jobs import Job, JobTable, QueueFullError
 from .protocol import PROTOCOL_SCHEMA, ProtocolError
-from .server import CecServer
 from .worker import execute_job
+
+
+def __getattr__(name):
+    # The server pulls in asyncio; clients (repro-client, repro-cec
+    # --server) import this package and must not pay for it.
+    if name == "CecServer":
+        from .server import CecServer
+
+        return CecServer
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "CecServer",

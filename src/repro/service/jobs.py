@@ -5,13 +5,15 @@ a terminal state. The :class:`JobTable` owns every job the server has
 seen, enforces the bounded queue (admission fails with
 :class:`QueueFullError` once the number of non-terminal jobs reaches
 the limit — the server turns that into a structured ``queue-full``
-response, never a crash), and is the single synchronization point
-between handler threads and the worker pool's completion callbacks.
+response, never a crash).
+
+Nothing here locks: the server owns every job and mutates it only on
+its event-loop thread (worker-pool completions are handed over to the
+loop before they touch a job).
 """
 
 import collections
 import itertools
-import threading
 import time
 
 QUEUED = "queued"
@@ -87,11 +89,10 @@ class Job:
         self.submitted_at = time.time()
         self.started_at = None
         self.finished_at = None
-        self._terminal = threading.Event()
+        self._on_terminal = []
 
     # ------------------------------------------------------------------
-    # Transitions (called under the table lock or from the completion
-    # callback; the event makes terminal-state waits race-free).
+    # Transitions
     # ------------------------------------------------------------------
 
     def mark_running(self):
@@ -104,18 +105,26 @@ class Job:
         self.worker_stats = worker_stats
         self.cached = cached
         self.state = DONE
-        self.finished_at = time.time()
-        self._terminal.set()
+        self._terminate()
 
     def fail(self, code, message, cancelled=False):
         self.error = {"code": code, "message": message}
         self.state = CANCELLED if cancelled else FAILED
-        self.finished_at = time.time()
-        self._terminal.set()
+        self._terminate()
 
-    def wait(self, timeout=None):
-        """Block until the job is terminal; True when it is."""
-        return self._terminal.wait(timeout)
+    def _terminate(self):
+        self.finished_at = time.time()
+        callbacks, self._on_terminal = self._on_terminal, []
+        for callback in callbacks:
+            callback()
+
+    def when_terminal(self, callback):
+        """Call ``callback()`` once the job is terminal (at once when it
+        already is)."""
+        if self.is_terminal:
+            callback()
+        else:
+            self._on_terminal.append(callback)
 
     @property
     def is_terminal(self):
@@ -145,7 +154,7 @@ class Job:
 
 
 class JobTable:
-    """Thread-safe registry of all jobs plus bounded admission.
+    """Registry of all jobs plus bounded admission.
 
     Args:
         queue_limit: maximum number of *non-terminal* jobs (queued or
@@ -168,7 +177,6 @@ class JobTable:
             self.DEFAULT_RETAIN_TERMINAL
             if retain_terminal is None else retain_terminal
         )
-        self._lock = threading.Lock()
         self._jobs = {}
         self._pending = 0
         self._terminal_order = collections.deque()
@@ -183,72 +191,63 @@ class JobTable:
         Raises:
             QueueFullError: when the pending-job cap is reached.
         """
-        with self._lock:
-            if self._pending >= self.queue_limit:
-                raise QueueFullError(self.queue_limit)
-            job = Job(self.new_job_id(), key=key)
-            self._jobs[job.id] = job
-            self._pending += 1
-            return job
+        if self._pending >= self.queue_limit:
+            raise QueueFullError(self.queue_limit)
+        job = Job(self.new_job_id(), key=key)
+        self._jobs[job.id] = job
+        self._pending += 1
+        return job
 
     def add_terminal(self, key=None):
         """Register a job that is already answered (cache hits).
 
         Cache hits never occupy queue capacity.
         """
-        with self._lock:
-            job = Job(self.new_job_id(), key=key)
-            self._jobs[job.id] = job
-            return job
+        job = Job(self.new_job_id(), key=key)
+        self._jobs[job.id] = job
+        return job
 
     def release(self, job):
         """Account a job's transition to a terminal state (idempotent
         per job: call exactly once when the job leaves the queue)."""
-        with self._lock:
-            if self._pending > 0:
-                self._pending -= 1
+        if self._pending > 0:
+            self._pending -= 1
 
     def note_terminal(self, job):
         """Record that *job* reached a terminal state; evict the oldest
         terminal jobs beyond ``retain_terminal`` so the table (and the
         result payloads it holds) stays bounded on a long-lived server.
         """
-        with self._lock:
-            self._terminal_order.append(job.id)
-            while len(self._terminal_order) > self.retain_terminal:
-                old_id = self._terminal_order.popleft()
-                old = self._jobs.get(old_id)
-                if old is not None and old.is_terminal:
-                    del self._jobs[old_id]
+        self._terminal_order.append(job.id)
+        while len(self._terminal_order) > self.retain_terminal:
+            old_id = self._terminal_order.popleft()
+            old = self._jobs.get(old_id)
+            if old is not None and old.is_terminal:
+                del self._jobs[old_id]
 
     def get(self, job_id):
         """The job registered under *job_id*, or ``None``."""
-        with self._lock:
-            return self._jobs.get(job_id)
+        return self._jobs.get(job_id)
 
     def active(self):
         """All non-terminal jobs, in admission order."""
-        with self._lock:
-            return [
-                job for job in self._jobs.values() if not job.is_terminal
-            ]
+        return [
+            job for job in self._jobs.values() if not job.is_terminal
+        ]
 
     def recent_terminal(self, limit=16):
         """The newest *limit* terminal jobs still retained, oldest
         first (the progress verb's listing includes them so pollers
         observe completions they would otherwise race)."""
-        with self._lock:
-            ids = list(self._terminal_order)[-limit:] if limit > 0 else []
-            return [
-                self._jobs[job_id] for job_id in ids
-                if job_id in self._jobs
-            ]
+        ids = list(self._terminal_order)[-limit:] if limit > 0 else []
+        return [
+            self._jobs[job_id] for job_id in ids
+            if job_id in self._jobs
+        ]
 
     def pending(self):
         """Number of queued/running jobs."""
-        with self._lock:
-            return self._pending
+        return self._pending
 
     def __len__(self):
-        with self._lock:
-            return len(self._jobs)
+        return len(self._jobs)

@@ -5,6 +5,15 @@ Examples::
     repro-serve --listen 127.0.0.1:7711 --workers 4 --cache .cec-cache
     repro-serve --listen /tmp/cec.sock --time-limit 60 \\
         --stats-json server-stats.json
+    repro-serve --listen 127.0.0.1:7700 \\
+        --shard 127.0.0.1:7711 --shard 127.0.0.1:7712
+
+With ``--shard`` the server runs no jobs itself: it is the fleet front
+door (``repro-router``, the same program under another name), routing
+each submit onto one of the shards and brokering cross-shard proof-
+cache transfers. The options of the local job queue (``--workers``,
+``--cache``, budgets, ...) then do not apply and are refused, as are
+the fleet options without ``--shard``.
 
 The server runs until SIGINT/SIGTERM or a client ``shutdown`` verb;
 on exit it writes its ``repro-stats/1`` report (jobs, hit rate,
@@ -19,7 +28,6 @@ against deploying a build whose multi-process invariants have drifted.
 import argparse
 import signal
 import sys
-import threading
 
 from .. import __version__
 from ..exit_codes import EXIT_INVALID_INPUT, EXIT_NEGATIVE, EXIT_OK
@@ -53,28 +61,51 @@ def _self_lint():
     return EXIT_OK
 
 
-def build_parser():
+#: Backend options (argparse dest -> CecServer argument). Unset ones
+#: take the backend's default; the other backend's are refused.
+_LOCAL_OPTIONS = {
+    "workers": "workers", "queue_limit": "queue_limit",
+    "cache": "cache_dir", "retain_jobs": "retain_jobs",
+    "time_limit": "default_time_limit",
+    "conflict_limit": "default_conflict_limit",
+    "progress_interval": "progress_interval",
+}
+_FLEET_OPTIONS = {
+    "replicas": "replicas", "health_interval": "health_interval",
+    "down_after": "down_after", "timeout": "shard_timeout",
+}
+
+#: Lower bounds of the numeric options that have one.
+_MINIMUM = {
+    "workers": 0, "queue_limit": 1, "retain_jobs": 0,
+    "progress_interval": 0, "replicas": 1, "down_after": 1,
+}
+
+
+def build_parser(router=False):
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro-router" if router else "repro-serve",
         description="Persistent combinational-equivalence-checking "
         "service with a job queue, worker pool, and structural-hash "
-        "proof cache.",
+        "proof cache, or (with --shard) the consistent-hash front door "
+        "of a fleet of such servers.",
     )
     parser.add_argument(
         "--version", action="version", version="%(prog)s " + __version__,
     )
     parser.add_argument(
         "--listen", default="127.0.0.1:7711", metavar="ADDR",
+        required=router,
         help="host:port or Unix socket path (default %(default)s)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=int, default=None, metavar="N",
         help="worker processes; 0 = in-process single worker "
-        "(default %(default)s)",
+        "(default 1)",
     )
     parser.add_argument(
-        "--queue-limit", type=int, default=32, metavar="N",
-        help="maximum queued+running jobs (default %(default)s)",
+        "--queue-limit", type=int, default=None, metavar="N",
+        help="maximum queued+running jobs (default 32)",
     )
     parser.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -104,6 +135,30 @@ def build_parser():
         "default 0.25)",
     )
     parser.add_argument(
+        "--shard", action="append", default=None, metavar="ADDR",
+        dest="shards", required=router,
+        help="route jobs to this repro-serve instead of running them "
+        "(repeat once per shard)",
+    )
+    parser.add_argument(
+        "--replicas", type=int, metavar="N",
+        help="ring points per shard (default 64; every router of a "
+        "fleet must agree)",
+    )
+    parser.add_argument(
+        "--health-interval", type=float, metavar="SECONDS",
+        help="seconds between background shard pings (default 2.0)",
+    )
+    parser.add_argument(
+        "--down-after", type=int, metavar="N",
+        help="consecutive failures before a shard leaves the ring "
+        "(default 2)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, metavar="SECONDS",
+        help="per-line timeout talking to a shard (default 60.0)",
+    )
+    parser.add_argument(
         "--metrics", metavar="ADDR", default=None,
         help="serve a Prometheus /metrics endpoint on this host:port "
         "(port 0 picks a free one; omit to disable)",
@@ -126,22 +181,36 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def main(argv=None, router=False):
+    parser = build_parser(router)
+    prog = parser.prog
+    args = parser.parse_args(argv)
     configure_logging(json_logs=args.log_json, level=args.log_level)
-    if args.workers < 0:
-        print("repro-serve: --workers must be >= 0", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.queue_limit < 1:
-        print("repro-serve: --queue-limit must be >= 1", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.retain_jobs is not None and args.retain_jobs < 0:
-        print("repro-serve: --retain-jobs must be >= 0", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.progress_interval is not None and args.progress_interval < 0:
-        print("repro-serve: --progress-interval must be >= 0",
+    if args.shards:
+        accepted, refused = _FLEET_OPTIONS, _LOCAL_OPTIONS
+        reason = "cannot be combined with --shard"
+    else:
+        accepted, refused = _LOCAL_OPTIONS, _FLEET_OPTIONS
+        reason = "need --shard"
+    given = [
+        "--" + name.replace("_", "-") for name in sorted(refused)
+        if getattr(args, name) is not None
+    ]
+    if given:
+        print("%s: %s %s" % (prog, ", ".join(given), reason),
               file=sys.stderr)
         return EXIT_INVALID_INPUT
+    for name, low in sorted(_MINIMUM.items()):
+        value = getattr(args, name)
+        if value is not None and value < low:
+            print("%s: --%s must be >= %d"
+                  % (prog, name.replace("_", "-"), low), file=sys.stderr)
+            return EXIT_INVALID_INPUT
+    settings = {
+        argument: getattr(args, name)
+        for name, argument in accepted.items()
+        if getattr(args, name) is not None
+    }
     if args.self_lint:
         code = _self_lint()
         if code != EXIT_OK:
@@ -149,33 +218,22 @@ def main(argv=None):
     recorder = Recorder()
     try:
         server = CecServer(
-            args.listen,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            cache_dir=args.cache,
-            default_time_limit=args.time_limit,
-            default_conflict_limit=args.conflict_limit,
-            recorder=recorder,
-            retain_jobs=args.retain_jobs,
-            metrics_address=args.metrics,
-            progress_interval=args.progress_interval,
+            args.listen, recorder=recorder, metrics_address=args.metrics,
+            shards=args.shards, **settings
         )
     except (ValueError, OSError) as exc:
-        print("repro-serve: %s" % exc, file=sys.stderr)
+        print("%s: %s" % (prog, exc), file=sys.stderr)
         return EXIT_INVALID_INPUT
 
     def _stop(signum, frame):
-        # The handler runs on the main thread, which is inside
-        # serve_forever(); BaseServer.shutdown() blocks until
-        # serve_forever returns, so calling it here would deadlock.
-        threading.Thread(target=server.shutdown, daemon=True).start()
+        server.shutdown()
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
-    log.info(
-        "repro-serve %s listening on %s (workers=%d, cache=%s)",
-        __version__, server.address, args.workers, args.cache or "off",
-    )
+    log.info("%s %s listening on %s (%s)", prog, __version__,
+             server.address, ", ".join(
+                 "%s=%s" % item for item in sorted(settings.items())
+             ) or "defaults")
     if server.metrics_address is not None:
         log.info("metrics endpoint on http://%s/metrics",
                  server.metrics_address)

@@ -1,106 +1,53 @@
-"""The persistent CEC server: socket front end, job queue, worker pool.
+"""The persistent CEC server: one asyncio front end over a backend.
 
 :class:`CecServer` is a long-running process component that accepts
-``repro-service/1`` requests over a Unix-domain or TCP socket, admits
-jobs into a bounded queue, fans them out to a multiprocess worker pool
-(:func:`repro.service.worker.execute_job`), and consults the
-structural-hash :class:`~repro.service.cache.ProofCache` before paying
-for any solving — a repeated or symmetric query is answered from disk
-in microseconds, certificate included.
+``repro-service/1`` (and ``repro-fleet/1`` cache) requests over a
+Unix-domain or TCP socket. Its front end exists once, whatever serves
+the jobs: the connection loop and its line limit, decode errors, one
+verb table over the protocol registry, request-field validation, the
+draining rules, ``ping``/``stats``/``metrics``/``shutdown``, and the
+optional Prometheus ``/metrics`` endpoint.
 
-Threading model: ``socketserver.ThreadingMixIn`` gives one handler
-thread per connection; handler threads only parse requests, perform
-cache lookups, and wait on job events. All solving happens in the
-worker pool (``workers >= 1``: separate processes; ``workers == 0``:
-one in-process thread, for tests and platforms without ``fork``).
-Shared state is the :class:`~repro.service.jobs.JobTable` (locked) and
-the server's :class:`~repro.instrument.Recorder` (thread-safe), which
-aggregates per-job timings into server-level throughput and hit-rate
-telemetry served by the ``stats`` verb.
+Behind it sits one of two backends, chosen by the ``shards`` argument:
+
+* :class:`~repro.service.local.LocalBackend` (no ``shards``): the job
+  queue, the worker pool, the structural-hash proof cache and the
+  live-progress spools — a repeated or symmetric query is answered
+  from disk, certificate included.
+* :class:`~repro.fleet.shards.ShardBackend` (``shards=[...]``): the
+  fleet front door. Submits are consistent-hashed onto other servers,
+  job verbs are forwarded to the shard that owns the job, and proof
+  certificates move between shard caches (``repro-router``).
+
+Threading model: every request and every job mutation runs on one
+event loop (the caller's thread under :meth:`serve_forever`, a daemon
+thread under :meth:`start`). The other threads are the worker pool's
+and the optional ``/metrics`` endpoint's, which reads only the
+thread-safe :class:`~repro.instrument.Recorder` and
+:class:`~repro.instrument.MetricsRegistry`.
 """
 
-import io
+import asyncio
 import os
-import shutil
-import socketserver
-import tempfile
+import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future
 
 from .. import __version__
-from ..aig.aiger import AigerError, read_aag
-from ..instrument import MetricsRegistry, Recorder, TraceContext, get_logger
-from ..instrument.metrics import TIME_BUCKETS, to_prometheus_text
-from ..instrument.progress import (
-    DEFAULT_INTERVAL as DEFAULT_PROGRESS_INTERVAL,
-    latest_heartbeat,
-    remove_spool,
-)
-from ..instrument.tracing import merge_trace_documents, new_span_id
+from ..instrument import MetricsRegistry, Recorder, get_logger
+from ..instrument.metrics import to_prometheus_text
 from . import protocol
-from .cache import ProofCache, cache_key
-from .jobs import DONE, QUEUED, JobTable, QueueFullError
 from .metrics_http import MetricsHTTPServer
-from .worker import build_options, execute_job
 
-#: Heartbeat interval while a ``result --wait`` request is blocked.
-DEFAULT_POLL_INTERVAL = 0.25
+#: Verbs a draining server still answers: they only read state, and a
+#: draining server's in-flight jobs are exactly the ones worth
+#: watching. The cache verbs touch the on-disk cache, never the queue.
+_DRAINING_VERBS = frozenset(
+    {"ping", "stats", "metrics", "progress"}
+) | protocol.FLEET_VERBS
 
 log = get_logger("service.server")
-
-
-def _warm_worker():
-    """No-op warm-up task: forces the process pool to fork its workers
-    while the server is still single-threaded (see ``__init__``)."""
-    return os.getpid()
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, answer each in turn."""
-
-    def handle(self):
-        server = self.server.cec_server
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 1)
-            except OSError:
-                return
-            if not line:
-                return
-            if len(line) > protocol.MAX_LINE_BYTES:
-                self._send(protocol.error_response(
-                    protocol.ERR_INVALID_REQUEST,
-                    "request line exceeds %d bytes"
-                    % protocol.MAX_LINE_BYTES,
-                ))
-                return
-            try:
-                request = protocol.decode(line)
-            except protocol.ProtocolError as exc:
-                self._send(protocol.error_response(exc.code, str(exc)))
-                continue
-            try:
-                done = server.dispatch(request, self._send)
-            except BrokenPipeError:
-                return
-            if done:
-                return
-
-    def _send(self, response):
-        self.wfile.write(protocol.encode(response))
-        self.wfile.flush()
-
-
-class _ThreadingTCPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class _ThreadingUnixServer(
-    socketserver.ThreadingMixIn, socketserver.UnixStreamServer
-):
-    daemon_threads = True
 
 
 class CecServer:
@@ -109,109 +56,92 @@ class CecServer:
     Args:
         address: ``host:port`` or a Unix socket path (see
             :func:`repro.service.protocol.parse_address`).
-        workers: worker processes (``0`` = one in-process worker
-            thread).
-        queue_limit: maximum queued+running jobs before ``submit``
-            answers ``queue-full``.
-        cache_dir: proof-cache directory (``None`` disables caching).
-        default_time_limit / default_conflict_limit: per-job budget
-            applied when the request does not carry its own.
-        poll_interval: heartbeat period for blocked ``result`` waits.
         recorder: server-level :class:`Recorder` (one is created when
             omitted); serves the ``stats`` verb.
-        retain_jobs: terminal jobs kept for late ``status``/``result``
-            queries before eviction (bounds server memory; defaults to
-            :attr:`JobTable.DEFAULT_RETAIN_TERMINAL`).
         metrics_address: optional ``host:port`` for the Prometheus
             ``/metrics`` HTTP endpoint (``None`` disables it; the
             ``metrics`` protocol verb works either way).
-        progress_interval: seconds between live progress heartbeats
-            from running workers (``None`` = the default ~0.25s;
-            ``0`` disables the progress plane entirely).
+        shards: backend ``repro-serve`` addresses; when given, the
+            server runs no jobs itself and routes them onto these
+            shards.
+        **settings: the backend's settings. Without shards (see
+            :class:`~repro.service.local.LocalBackend`): ``workers``
+            (``0`` = one in-process worker thread), ``queue_limit``,
+            ``cache_dir`` (``None`` disables caching),
+            ``default_time_limit`` / ``default_conflict_limit``,
+            ``poll_interval`` (``result --wait`` heartbeat period),
+            ``retain_jobs`` and ``progress_interval`` (``0`` disables
+            live progress). With shards (see
+            :class:`~repro.fleet.shards.ShardBackend`): ``replicas``,
+            ``health_interval``, ``down_after`` and ``shard_timeout``.
     """
 
     def __init__(
-        self,
-        address,
-        workers=1,
-        queue_limit=32,
-        cache_dir=None,
-        default_time_limit=None,
-        default_conflict_limit=None,
-        poll_interval=DEFAULT_POLL_INTERVAL,
-        recorder=None,
-        retain_jobs=None,
-        metrics_address=None,
-        progress_interval=None,
+        self, address, recorder=None, metrics_address=None, shards=None,
+        **settings
     ):
         self.family, self.target = protocol.parse_address(address)
-        self.workers = workers
-        self.jobs = JobTable(
-            queue_limit=queue_limit, retain_terminal=retain_jobs
-        )
-        self.recorder = recorder if recorder is not None else Recorder()
-        self.recorder.meta.setdefault("tool", "repro-serve")
-        self.recorder.meta["address"] = protocol.format_address(
-            self.family, self.target
-        )
-        self.cache = (
-            ProofCache(cache_dir, recorder=self.recorder)
-            if cache_dir else None
-        )
-        self.default_time_limit = default_time_limit
-        self.default_conflict_limit = default_conflict_limit
-        self.poll_interval = poll_interval
-        self.progress_interval = (
-            DEFAULT_PROGRESS_INTERVAL
-            if progress_interval is None else float(progress_interval)
-        )
-        # Heartbeat spool: one JSONL file per running job, written by
-        # the worker process and tailed by the `progress` verb. A
-        # private tempdir (removed in close()) keeps the server free of
-        # any cross-job file naming discipline.
-        self._progress_dir = (
-            tempfile.mkdtemp(prefix="repro-progress-")
-            if self.progress_interval > 0 else None
-        )
-        self._started_monotonic = time.monotonic()
-        self._shutting_down = False
-        self._serving = False
-        self._lock = threading.Lock()
-        if workers >= 1:
-            # A fork-start pool in a threaded server is safe only
-            # because the workers are all forked HERE, while this
-            # process is still single-threaded: the warm-up submit
-            # below forces the executor to launch every worker before
-            # the listener or any handler thread exists.
-            self._executor = ProcessPoolExecutor(  # repro-lint: ignore[concurrency.fork-after-thread]
-                max_workers=workers
-            )
-            self._executor.submit(_warm_worker).result()
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=1)
-        if self.family == "unix":
-            if os.path.exists(self.target):
-                os.unlink(self.target)
-            self._server = _ThreadingUnixServer(self.target, _Handler)
-        else:
-            self._server = _ThreadingTCPServer(self.target, _Handler)
-        self._server.cec_server = self
-        self.recorder.gauge("service/workers", max(workers, 1))
-        # Cross-process metrics: the server's own registry plus every
-        # worker report folded in as jobs finish.
-        self.metrics = MetricsRegistry()
-        self._metrics_http = None
         if metrics_address is not None:
-            family, target = protocol.parse_address(metrics_address)
-            if family != "tcp":
+            metrics_family, metrics_target = protocol.parse_address(
+                metrics_address
+            )
+            if metrics_family != "tcp":
                 raise ValueError(
                     "metrics endpoint needs host:port, got %r"
                     % metrics_address
                 )
-            host, port = target
-            self._metrics_http = MetricsHTTPServer(
-                host, port, self.prometheus_text
-            ).start()
+        self.recorder = recorder if recorder is not None else Recorder()
+        self.metrics = MetricsRegistry()
+        if shards:
+            from ..fleet.shards import ShardBackend
+
+            self.backend = ShardBackend(
+                self.recorder, self.metrics, shards, **settings
+            )
+            self.ring = self.backend.ring
+        else:
+            from .local import LocalBackend
+
+            # Built first: a process pool must fork before any thread
+            # of this process (the /metrics endpoint below) exists.
+            self.backend = LocalBackend(
+                self.recorder, self.metrics, **settings
+            )
+            self.cache = self.backend.cache
+            self._executor = self.backend.executor
+        self.recorder.meta.setdefault("tool", self.backend.component)
+        self.recorder.meta["address"] = protocol.format_address(
+            self.family, self.target
+        )
+        frontend = {
+            "ping": self._ping, "stats": self._stats,
+            "metrics": self._metrics, "shutdown": self._shutdown,
+        }
+        self._verbs = {
+            verb: frontend.get(verb)
+            or getattr(self.backend, "handle_" + verb.replace("-", "_"))
+            for verb in protocol.VERBS | protocol.FLEET_VERBS
+        }
+        self._started_monotonic = time.monotonic()
+        self._shutting_down = False
+        self._loop = None
+        self._thread = None
+        self._server = None
+        self._stopping = None
+        self._connections = set()
+        self._sock = None
+        self._metrics_http = None
+        try:
+            self._sock = _listening_socket(self.family, self.target)
+            self._bound = self._sock.getsockname()
+            if metrics_address is not None:
+                host, port = metrics_target
+                self._metrics_http = MetricsHTTPServer(
+                    host, port, self.prometheus_text
+                ).start()
+        except OSError:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -222,664 +152,246 @@ class CecServer:
         """The bound address (with the OS-assigned port for ``:0``)."""
         if self.family == "unix":
             return self.target
-        host, port = self._server.server_address[:2]
+        host, port = self._bound[:2]
         return "%s:%d" % (host, port)
-
-    def serve_forever(self):
-        """Serve until :meth:`shutdown` (blocking)."""
-        with self._lock:
-            if self._shutting_down:
-                return
-            self._serving = True
-        self._server.serve_forever(poll_interval=self.poll_interval)
-
-    def start(self):
-        """Serve on a daemon thread (tests/benchmarks); returns it."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
-        )
-        thread.start()
-        return thread
-
-    def shutdown(self):
-        """Stop accepting connections and wind down the pool."""
-        with self._lock:
-            if self._shutting_down:
-                return
-            self._shutting_down = True
-            serving = self._serving
-        # socketserver's shutdown() handshakes with a *running*
-        # serve_forever loop; on a server that never served it would
-        # wait forever on the loop-exit event, so skip it — the flag
-        # above already keeps serve_forever() from starting late.
-        if serving:
-            self._server.shutdown()
-        self._executor.shutdown(wait=False)
-
-    def close(self):
-        """Release sockets and the worker pool (synchronously).
-
-        :meth:`shutdown` leaves the executor winding down on its
-        manager thread so the shutdown verb never blocks a handler;
-        here the pool must be reaped before returning — its manager
-        thread and GC finalizers release pipe fds asynchronously, and
-        letting them run past ``close()`` lets those closes race the
-        fds of whatever server is created next (observed as a fresh
-        listener dying before its first ``accept``).
-        """
-        self.shutdown()
-        self._executor.shutdown(wait=True)
-        self._server.server_close()
-        # Swap the endpoint out under the lock (close() may race a
-        # late metrics_address reader), then close it unlocked.
-        with self._lock:
-            metrics_http, self._metrics_http = self._metrics_http, None
-        if metrics_http is not None:
-            metrics_http.close()
-        if self._progress_dir is not None:
-            shutil.rmtree(self._progress_dir, ignore_errors=True)
-        if self.family == "unix" and os.path.exists(self.target):
-            os.unlink(self.target)
 
     @property
     def metrics_address(self):
         """``host:port`` of the /metrics endpoint (None when disabled)."""
-        if self._metrics_http is None:
-            return None
-        return self._metrics_http.address
+        metrics_http = self._metrics_http
+        return None if metrics_http is None else metrics_http.address
+
+    @property
+    def metrics_port(self):
+        """The bound ``/metrics`` port, or None when disabled."""
+        metrics_http = self._metrics_http
+        return None if metrics_http is None else metrics_http.port
+
+    def serve_forever(self):
+        """Serve on the calling thread until :meth:`shutdown`."""
+        if not self._shutting_down:
+            self._run(self._open())
+
+    def start(self):
+        """Serve on a daemon thread (tests/benchmarks); returns it.
+
+        The server is accepting connections when this returns.
+        """
+        listening = Future()
+        self._thread = threading.Thread(
+            target=self._serve_thread, args=(listening,),
+            name="repro-serve", daemon=True,
+        )
+        self._thread.start()
+        listening.result()
+        return self._thread
+
+    def _serve_thread(self, listening):
+        try:
+            loop = self._open()
+        except BaseException as exc:
+            listening.set_exception(exc)
+            return
+        listening.set_result(None)
+        self._run(loop)
+
+    def shutdown(self):
+        """Start draining (any thread; never blocks).
+
+        The server stops accepting connections and refuses new work;
+        admitted jobs run to completion and open connections keep
+        their draining-mode answers until then; then the loop ends.
+        """
+        self._shutting_down = True
+        loop, stopping = self._loop, self._stopping
+        if loop is None or stopping is None:
+            return
+        try:
+            loop.call_soon_threadsafe(stopping.set)
+        except RuntimeError:  # the loop has already finished
+            pass
+
+    def close(self):
+        """Shut down, wait for the loop, release every resource
+        (idempotent)."""
+        self.shutdown()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        self.backend.close()
+        if self._sock is not None:
+            self._sock.close()
+        metrics_http, self._metrics_http = self._metrics_http, None
+        if metrics_http is not None:
+            metrics_http.close()
+        if self.family == "unix":
+            try:
+                os.unlink(self.target)
+            except OSError:
+                pass
+
+    def _open(self):
+        """Create the event loop and start listening on it."""
+        if self._loop is not None:
+            raise RuntimeError("server is already running")
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._loop.run_until_complete(self._listen())
+        except BaseException:
+            self._loop.close()
+            raise
+        return self._loop
+
+    def _run(self, loop):
+        try:
+            loop.run_until_complete(self._serve_until_stopped())
+        finally:
+            loop.close()
+
+    async def _listen(self):
+        self._stopping = asyncio.Event()
+        if self._shutting_down:
+            self._stopping.set()
+        if self.family == "unix":
+            start = asyncio.start_unix_server
+        else:
+            start = asyncio.start_server
+        self._server = await start(
+            self._serve_connection, sock=self._sock,
+            limit=protocol.MAX_LINE_BYTES + 1,
+        )
+        await self.backend.start()
+
+    async def _serve_until_stopped(self):
+        await self._stopping.wait()
+        server, self._server = self._server, None
+        server.close()
+        await self.backend.drain()
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Connections and dispatch
     # ------------------------------------------------------------------
 
-    def dispatch(self, request, send):
+    async def _serve_connection(self, reader, writer):
+        task = asyncio.current_task()
+        self._connections.add(task)
+
+        async def send(response):
+            writer.write(protocol.encode(response))
+            await writer.drain()
+
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # StreamReader.readline signals a limit overrun
+                    # (line longer than MAX_LINE_BYTES) as ValueError.
+                    await send(protocol.error_response(
+                        protocol.ERR_INVALID_REQUEST,
+                        "request line exceeds %d bytes"
+                        % protocol.MAX_LINE_BYTES,
+                    ))
+                    return
+                if not line:
+                    return
+                try:
+                    request = protocol.decode(line)
+                except protocol.ProtocolError as exc:
+                    await send(protocol.error_response(exc.code, str(exc)))
+                    continue
+                if await self.dispatch(request, send):
+                    return
+        except OSError:  # the peer went away mid-exchange
+            pass
+        except asyncio.CancelledError:
+            # The server is closing. The task ends normally: asyncio's
+            # stream callback (3.11) logs a cancelled connection task
+            # as an error.
+            pass
+        finally:
+            self._connections.discard(task)
+            writer.close()
+
+    async def dispatch(self, request, send):
         """Answer one request via *send*; True ends the connection."""
         verb = request.get("verb")
-        if verb not in protocol.VERBS and verb not in protocol.FLEET_VERBS:
-            send(protocol.error_response(
+        handler = self._verbs.get(verb) if isinstance(verb, str) else None
+        if handler is None:
+            await send(protocol.error_response(
                 protocol.ERR_INVALID_REQUEST,
-                "unknown verb %r" % (verb,), verb=verb,
+                "unknown verb %r" % (verb,),
+                verb=verb if isinstance(verb, str) else None,
             ))
             return False
-        # Cache verbs stay answerable while draining: they touch only
-        # the on-disk cache, never the queue or the worker pool.
-        # `progress` likewise only reads the job table, and a draining
-        # server's in-flight jobs are exactly the ones worth watching.
-        if self._shutting_down and verb not in (
-            "ping", "stats", "metrics", "progress",
-        ) and verb not in protocol.FLEET_VERBS:
-            send(protocol.error_response(
+        if self._shutting_down and verb not in _DRAINING_VERBS:
+            await send(protocol.error_response(
                 protocol.ERR_SHUTTING_DOWN, "server is shutting down",
                 verb=verb,
             ))
             return False
-        if verb in protocol.FLEET_VERBS:
-            send(self._handle_cache_verb(request, verb))
+        problem = _field_error(verb, request)
+        if problem is not None:
+            code, message = problem
+            await send(protocol.error_response(code, message, verb=verb))
             return False
-        if verb == "ping":
-            send(protocol.ping_response())
-            return False
-        if verb == "submit":
-            send(self._handle_submit(request))
-            return False
-        if verb == "status":
-            send(self._handle_status(request))
-            return False
-        if verb == "result":
-            self._handle_result(request, send)
-            return False
-        if verb == "cancel":
-            send(self._handle_cancel(request))
-            return False
-        if verb == "progress":
-            send(self._handle_progress(request))
-            return False
-        if verb == "stats":
-            # Runtime gauges (queue depth, uptime) are refreshed on
-            # every stats/metrics read, not only on job transitions, so
-            # scrapes between jobs never see stale values.
-            self._refresh_runtime_gauges()
-            send(protocol.ok_response("stats", stats=self.stats_report()))
-            return False
-        if verb == "metrics":
-            self._refresh_runtime_gauges()
-            send(protocol.ok_response(
-                "metrics", metrics=self.metrics.report(),
-                prometheus=self.prometheus_text(),
-            ))
-            return False
-        # shutdown: acknowledge, then stop the server from another
-        # thread (shutdown() must not run on a handler thread that
-        # serve_forever is waiting on).
-        send(protocol.ok_response("shutdown"))
-        threading.Thread(target=self.shutdown, daemon=True).start()
-        return True
-
-    # ------------------------------------------------------------------
-    # submit
-    # ------------------------------------------------------------------
-
-    def _handle_submit(self, request):
-        self.recorder.count("service/jobs-submitted")
-        # Trace context: adopt the client's when present and
-        # well-formed, otherwise degrade to a fresh trace — a malformed
-        # header must never fail the job. All server-side spans of this
-        # job hang under one root "service/job" span whose id is minted
-        # here and propagated to the worker.
-        context, propagated = TraceContext.from_wire(request.get("trace"))
-        if "trace" in request and not propagated:
-            self.recorder.count("service/trace-degraded")
-        job_span_id = new_span_id()
-        job_recorder = Recorder()
-        job_recorder.meta["tool"] = "repro-serve"
-        job_recorder.start_trace(context.child(job_span_id))
         try:
-            aig_a = read_aag(io.StringIO(request["aag_a"]))
-            aig_b = read_aag(io.StringIO(request["aag_b"]))
-            options = build_options(request.get("options"))
-        except (AigerError, ValueError, KeyError, TypeError) as exc:
-            self.recorder.count("service/jobs-rejected")
-            return protocol.error_response(
-                protocol.ERR_BAD_INPUT, str(exc), verb="submit",
-            )
-        if (aig_a.num_inputs != aig_b.num_inputs
-                or aig_a.num_outputs != aig_b.num_outputs):
-            self.recorder.count("service/jobs-rejected")
-            return protocol.error_response(
-                protocol.ERR_BAD_INPUT,
-                "interface mismatch: %dx%d vs %dx%d inputs/outputs"
-                % (aig_a.num_inputs, aig_a.num_outputs,
-                   aig_b.num_inputs, aig_b.num_outputs),
-                verb="submit",
-            )
-        key = cache_key(aig_a, aig_b, request.get("options"))
-        if self.cache is not None:
-            with job_recorder.phase("cache/lookup"):
-                cached = self.cache.lookup(key)
-            self.metrics.observe(
-                "cache/lookup-seconds",
-                job_recorder.phase_seconds("cache/lookup"),
-                buckets=TIME_BUCKETS, unit="seconds",
-            )
-            if cached is not None:
-                self.recorder.count("service/cache-hits")
-                job = self.jobs.add_terminal(key=key)
-                job.recorder = job_recorder
-                job.span_id = job_span_id
-                job.trace_parent = context.parent_id
-                # Observability is assembled BEFORE finish(): finish
-                # sets the terminal event a blocked `result --wait`
-                # handler wakes on, and that response must already see
-                # job.trace / job.job_stats.
-                self._assemble_job_telemetry(
-                    job, verdict=_verdict_of(cached), cached=True,
-                )
-                job.finish(
-                    _verdict_of(cached), cached, worker_stats=None,
-                    cached=True,
-                )
-                self._note_job_done(job)
-                self.jobs.note_terminal(job)
-                return protocol.ok_response(
-                    "submit", job=job.id, state=job.state, cached=True,
-                    verdict=job.verdict,
-                )
-            self.recorder.count("service/cache-misses")
-        try:
-            job = self.jobs.admit(key=key)
-        except QueueFullError as exc:
-            self.recorder.count("service/queue-rejects")
-            return protocol.error_response(
-                protocol.ERR_QUEUE_FULL, str(exc), verb="submit",
-                queue_limit=self.jobs.queue_limit,
-            )
-        job.recorder = job_recorder
-        job.span_id = job_span_id
-        job.trace_parent = context.parent_id
-        job.job_stats = job_recorder.report()
-        if self._progress_dir is not None:
-            job.progress_path = os.path.join(
-                self._progress_dir, "%s.jsonl" % job.id
-            )
-        payload = {
-            "aag_a": request["aag_a"],
-            "aag_b": request["aag_b"],
-            "options": request.get("options") or {},
-            "time_limit": request.get(
-                "time_limit", self.default_time_limit
-            ),
-            "conflict_limit": request.get(
-                "conflict_limit", self.default_conflict_limit
-            ),
-            "certify": bool(request.get("certify")),
-            "lint": bool(request.get("lint")),
-            "trim": bool(request.get("trim", True)),
-            # Worker-side phases become spans of the same trace,
-            # parented under this job's root span.
-            "trace": context.child(job_span_id).to_wire(),
-            # Live heartbeat spool (None disables progress in the
-            # worker).
-            "progress_path": job.progress_path,
-            "progress_interval": self.progress_interval,
-        }
-        job.mark_running()
-        try:
-            job.future = self._executor.submit(execute_job, payload)
-        except RuntimeError as exc:  # pool already shut down
-            self.jobs.release(job)
-            job.fail(protocol.ERR_SHUTTING_DOWN, str(exc))
-            self.jobs.note_terminal(job)
-            return protocol.error_response(
-                protocol.ERR_SHUTTING_DOWN, str(exc), verb="submit",
-            )
-        job.future.add_done_callback(
-            lambda future, job=job: self._on_job_finished(job, future)
-        )
-        log.info(
-            "job %s admitted (queue depth %d)",
-            job.id, self.jobs.pending(),
-            extra={"job_id": job.id, "trace_id": context.trace_id},
-        )
-        self.recorder.gauge("service/queue-depth", self.jobs.pending())
-        return protocol.ok_response(
-            "submit", job=job.id, state=QUEUED, cached=False,
-            queue_depth=self.jobs.pending(),
-        )
-
-    def _on_job_finished(self, job, future):
-        # Runs as a Future done-callback: any exception escaping here is
-        # swallowed by the executor, so the try/finally guarantees the
-        # job always reaches a terminal state (otherwise result --wait
-        # clients would heartbeat forever).
-        self.jobs.release(job)
-        try:
-            self._finalize_job(job, future)
-        finally:
-            self._harvest_progress(job)
-            if not job.is_terminal:
-                job.fail(protocol.ERR_WORKER_FAILED,
-                         "internal error while finalizing the job")
-                self.recorder.count("service/jobs-failed")
-            self.jobs.note_terminal(job)
-            if job.state != DONE:
-                error = job.error or {}
-                log.warning(
-                    "job %s %s: %s", job.id, job.state,
-                    error.get("message", "no detail"),
-                    extra={"job_id": job.id,
-                           "trace_id": _trace_id_of(job)},
-                )
-
-    def _finalize_job(self, job, future):
-        if future.cancelled():
-            job.fail(protocol.ERR_CANCELLED, "job was cancelled",
-                     cancelled=True)
-            self.recorder.count("service/jobs-cancelled")
-            return
-        exc = future.exception()
-        if exc is not None:
-            job.fail(protocol.ERR_WORKER_FAILED,
-                     "%s: %s" % (type(exc).__name__, exc))
-            self.recorder.count("service/jobs-failed")
-            return
-        response = future.result()
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            job.fail(error.get("code", protocol.ERR_WORKER_FAILED),
-                     error.get("message", "worker reported failure"))
-            self.recorder.count("service/jobs-failed")
-            return
-        # Fold the worker's telemetry into the server-wide aggregates:
-        # phase timings and counters into the stats report, histogram
-        # observations into the cross-process metrics registry.
-        worker_stats = response.get("stats")
-        if isinstance(worker_stats, dict):
-            try:
-                self.recorder.merge_report(worker_stats)
-            except (KeyError, TypeError, ValueError):
-                self.recorder.count("service/stats-merge-failures")
-        worker_metrics = response.get("metrics")
-        if isinstance(worker_metrics, dict):
-            try:
-                self.metrics.merge_report(worker_metrics)
-            except (KeyError, TypeError, ValueError):
-                self.recorder.count("service/metrics-merge-failures")
-        # Store before marking the job terminal: a client that sees the
-        # result and immediately re-submits must find the cache entry.
-        # A cache failure is an operational problem, not a job failure:
-        # the verdict is still valid and must still be delivered.
-        if (self.cache is not None and job.key is not None
-                and response["result"].get("equivalent") is not None):
-            try:
-                with job.recorder.phase("cache/store"):
-                    self.cache.store(
-                        job.key, response["result"],
-                        meta={"job": job.id,
-                              "verdict": response["verdict"]},
-                    )
-            except OSError as store_exc:
-                self.recorder.count("service/cache-store-failures")
-                log.warning(
-                    "cache store failed for job %s: %s",
-                    job.id, store_exc,
-                    extra={"job_id": job.id,
-                           "trace_id": _trace_id_of(job)},
-                )
-        # Observability is assembled BEFORE finish() (see the cache-hit
-        # path): the terminal event must only fire once job.trace and
-        # job.job_stats are in place for waiting result handlers.
-        self._assemble_job_telemetry(
-            job, verdict=response["verdict"], cached=False,
-            worker_trace=response.get("trace"),
-        )
-        job.finish(
-            response["verdict"], response["result"],
-            worker_stats=worker_stats, cached=False,
-        )
-        self._note_job_done(job)
-
-    def _assemble_job_telemetry(
-        self, job, verdict, cached, worker_trace=None,
-    ):
-        """Record the job's spans, stats block, and latency metrics.
-
-        Must run before :meth:`Job.finish`: the result handlers read
-        ``job.trace``/``job.job_stats`` as soon as the terminal event
-        fires.
-        """
-        self.metrics.observe(
-            "service/job-seconds", job.elapsed_seconds(),
-            buckets=TIME_BUCKETS, unit="seconds",
-        )
-        recorder = job.recorder
-        if recorder is None:
-            return
-        if job.started_at is not None:
-            wait = job.queue_wait_seconds()
-            self.metrics.observe(
-                "service/queue-wait-seconds", wait,
-                buckets=TIME_BUCKETS, unit="seconds",
-            )
-            recorder.add_time("service/queue-wait", wait)
-            self.recorder.add_time("service/queue-wait", wait)
-            recorder.add_span(
-                "service/queue-wait", wait, ts=job.submitted_at,
-                parent_id=job.span_id, job=job.id,
-            )
-        # The job's root span covers submission to completion and
-        # carries the id every other server/worker span parents under.
-        recorder.add_span(
-            "service/job", job.elapsed_seconds(), ts=job.submitted_at,
-            span_id=job.span_id, parent_id=job.trace_parent,
-            job=job.id, cached=cached, verdict=verdict,
-        )
-        job.job_stats = recorder.report()
-        trace = recorder.trace_report()
-        if isinstance(worker_trace, dict):
-            try:
-                trace = merge_trace_documents(trace, worker_trace)
-            except (KeyError, TypeError, ValueError):
-                self.recorder.count("service/trace-merge-failures")
-        job.trace = trace
-
-    def _note_job_done(self, job):
-        self.recorder.count("service/jobs-completed")
-        self.recorder.count("service/verdict-%s" % job.verdict)
-        self.recorder.add_time("service/job", job.elapsed_seconds())
-        self.recorder.gauge("service/queue-depth", self.jobs.pending())
-        log.info(
-            "job %s done verdict=%s cached=%s elapsed=%.3fs",
-            job.id, job.verdict, job.cached, job.elapsed_seconds(),
-            extra={"job_id": job.id, "trace_id": _trace_id_of(job)},
-        )
-
-    # ------------------------------------------------------------------
-    # status / result / cancel
-    # ------------------------------------------------------------------
-
-    def _get_job(self, request, verb):
-        job_id = request.get("job")
-        job = self.jobs.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            return None, protocol.error_response(
-                protocol.ERR_UNKNOWN_JOB, "unknown job %r" % (job_id,),
+            response = await handler(request, send)
+        except OSError:
+            raise
+        except Exception as exc:
+            # A handler bug must cost one request, never the
+            # connection (or, behind a fleet, the shard's health).
+            log.exception("%s request failed", verb)
+            response = protocol.error_response(
+                protocol.ERR_INVALID_REQUEST,
+                "request could not be handled: %s: %s"
+                % (type(exc).__name__, exc),
                 verb=verb,
             )
-        return job, None
-
-    def _handle_status(self, request):
-        job, error = self._get_job(request, "status")
-        if error is not None:
-            return error
-        return protocol.ok_response("status", **job.snapshot())
-
-    def _handle_result(self, request, send):
-        job, error = self._get_job(request, "result")
-        if error is not None:
-            send(error)
-            return
-        wait = bool(request.get("wait"))
-        timeout = request.get("timeout")
-        deadline = None
-        if wait and timeout is not None:
-            deadline = job.elapsed_seconds() + float(timeout)
-        while wait and not job.is_terminal:
-            if deadline is not None and job.elapsed_seconds() >= deadline:
-                send(protocol.error_response(
-                    protocol.ERR_TIMEOUT,
-                    "job %s still %s after the wait timeout"
-                    % (job.id, job.state),
-                    verb="result", **job.snapshot(),
-                ))
-                return
-            if job.wait(self.poll_interval):
-                break
-            # Heartbeats during a blocked wait carry the job's live
-            # progress document so `repro-client submit --wait` shows
-            # the search moving, not just "running".
-            send(protocol.ok_response(
-                "result", final=False,
-                progress=self._job_progress(job), **job.snapshot(),
-            ))
-        if not job.is_terminal:
-            send(protocol.ok_response("result", **job.snapshot()))
-            return
-        if job.state == DONE:
-            send(protocol.ok_response(
-                "result", result=job.result,
-                worker_stats=job.worker_stats, job_stats=job.job_stats,
-                trace=job.trace, **job.snapshot(),
-            ))
-        else:
-            error = job.error or {}
-            send(protocol.error_response(
-                error.get("code", protocol.ERR_WORKER_FAILED),
-                error.get("message", "job did not complete"),
-                verb="result", **job.snapshot(),
-            ))
+        await send(response)
+        return verb == "shutdown"
 
     # ------------------------------------------------------------------
-    # progress (live heartbeats)
+    # Front-end verbs
     # ------------------------------------------------------------------
 
-    def _job_progress(self, job):
-        """The job's newest ``repro-progress/1`` heartbeat, or None."""
-        if job.progress is not None:
-            return job.progress
-        if job.progress_path is None:
-            return None
-        document = latest_heartbeat(job.progress_path)
-        if document is None:
-            return None
-        document["job"] = job.id
-        return document
+    async def _ping(self, request, send):
+        return protocol.ping_response()
 
-    def _harvest_progress(self, job):
-        """Cache the final heartbeat on the job and drop its spool."""
-        path = job.progress_path
-        if path is None:
-            return
-        document = latest_heartbeat(path)
-        if document is not None:
-            document["job"] = job.id
-            job.progress = document
-        remove_spool(path)
-        job.progress_path = None
+    async def _stats(self, request, send):
+        return protocol.ok_response("stats", stats=self.stats_report())
 
-    def _handle_progress(self, request):
-        """The ``progress`` verb: one job's latest heartbeat, or —
-        without a ``job`` field — a listing of every active job (plus
-        the most recent completions) with their heartbeats."""
-        if request.get("job") is None:
-            jobs = []
-            for job in self.jobs.active():
-                entry = job.snapshot()
-                entry["progress"] = self._job_progress(job)
-                jobs.append(entry)
-            for job in self.jobs.recent_terminal():
-                entry = job.snapshot()
-                entry["progress"] = job.progress
-                jobs.append(entry)
-            return protocol.ok_response(
-                "progress", jobs=jobs, queue_depth=self.jobs.pending(),
-            )
-        job, error = self._get_job(request, "progress")
-        if error is not None:
-            return error
+    async def _metrics(self, request, send):
         return protocol.ok_response(
-            "progress", progress=self._job_progress(job),
-            **job.snapshot(),
+            "metrics", metrics=self.metrics.report(),
+            prometheus=self.prometheus_text(),
         )
 
-    def _handle_cancel(self, request):
-        job, error = self._get_job(request, "cancel")
-        if error is not None:
-            return error
-        if job.is_terminal:
-            return protocol.ok_response(
-                "cancel", cancelled=(job.state == "cancelled"),
-                **job.snapshot(),
-            )
-        cancelled = job.future.cancel() if job.future is not None else False
-        if cancelled:
-            # The done-callback fires with future.cancelled() and marks
-            # the job; wait for it so the response reflects the final
-            # state.
-            job.wait(timeout=5.0)
-        return protocol.ok_response(
-            "cancel", cancelled=cancelled, **job.snapshot(),
-        )
+    async def _shutdown(self, request, send):
+        # Only this server stops: a fleet's shards are independent
+        # processes with their own lifecycles.
+        self.shutdown()
+        return protocol.ok_response("shutdown")
 
     # ------------------------------------------------------------------
-    # cache verbs (repro-fleet/1)
+    # Telemetry
     # ------------------------------------------------------------------
-
-    def _handle_cache_verb(self, request, verb):
-        """One ``repro-fleet/1`` cache-protocol request.
-
-        This is the single code path behind both the router's
-        cross-shard fetch and ``repro-client cache``: ``cache`` with no
-        key answers lookup/store statistics, ``cache`` with a key is a
-        metadata probe, ``cache-get`` ships the stored result document,
-        ``cache-put`` installs one received from a peer shard.
-        """
-        if self.cache is None:
-            return protocol.fleet_error(
-                protocol.ERR_NO_CACHE,
-                "server runs without a proof cache", verb=verb,
-            )
-        key = request.get("key")
-        if verb == "cache" and key is None:
-            return protocol.fleet_response(
-                "cache",
-                entries=len(self.cache.keys()),
-                hits=self.recorder.counter("cache/hits"),
-                misses=self.recorder.counter("cache/misses"),
-                stores=self.recorder.counter("cache/stores"),
-            )
-        if not isinstance(key, str) or not key:
-            return protocol.fleet_error(
-                protocol.ERR_INVALID_REQUEST,
-                "cache verbs need a string 'key'", verb=verb,
-            )
-        if verb == "cache":
-            self.recorder.count("service/cache-probes")
-            meta = self.cache.read_meta(key)
-            found = key in self.cache
-            return protocol.fleet_response(
-                "cache", key=key, found=found,
-                meta=meta if found else None,
-            )
-        if verb == "cache-get":
-            self.recorder.count("service/cache-remote-gets")
-            result = self.cache.lookup(key)
-            if result is None:
-                return protocol.fleet_response(
-                    "cache-get", key=key, found=False,
-                )
-            return protocol.fleet_response(
-                "cache-get", key=key, found=True, result=result,
-                meta=self.cache.read_meta(key),
-            )
-        # cache-put: install a peer's content-addressed result document.
-        result = request.get("result")
-        if not isinstance(result, dict):
-            return protocol.fleet_error(
-                protocol.ERR_BAD_INPUT,
-                "cache-put needs a 'result' document", verb=verb,
-            )
-        meta = request.get("meta")
-        if meta is not None and not isinstance(meta, dict):
-            return protocol.fleet_error(
-                protocol.ERR_BAD_INPUT,
-                "cache-put 'meta' must be a mapping", verb=verb,
-            )
-        try:
-            stored = self.cache.store(key, result, meta=meta)
-        except ValueError as exc:  # undecided results are never cached
-            return protocol.fleet_error(
-                protocol.ERR_BAD_INPUT, str(exc), verb=verb,
-            )
-        except OSError as exc:
-            self.recorder.count("service/cache-store-failures")
-            return protocol.fleet_error(
-                protocol.ERR_CACHE_STORE_FAILED, str(exc), verb=verb,
-            )
-        self.recorder.count("service/cache-remote-puts")
-        return protocol.fleet_response("cache-put", key=key, stored=stored)
-
-    # ------------------------------------------------------------------
-    # stats
-    # ------------------------------------------------------------------
-
-    def _refresh_runtime_gauges(self):
-        """Re-gauge point-in-time values that otherwise only change on
-        job transitions. Called from the stats/metrics verbs and from
-        :meth:`stats_report` so every scrape sees fresh values even
-        when no job has started or finished since the last one."""
-        self.recorder.gauge("service/queue-depth", self.jobs.pending())
-        self.recorder.gauge(
-            "service/uptime-seconds",
-            time.monotonic() - self._started_monotonic,
-        )
 
     def stats_report(self):
-        """Server-level ``repro-stats/1`` report with derived gauges."""
-        hits = self.recorder.counter("service/cache-hits")
-        misses = self.recorder.counter("service/cache-misses")
-        if hits + misses:
-            self.recorder.gauge(
-                "service/hit-rate", hits / float(hits + misses)
-            )
-        completed = self.recorder.counter("service/jobs-completed")
-        seconds = self.recorder.phase_seconds("service/job")
-        if completed and seconds > 0:
-            self.recorder.gauge(
-                "service/jobs-per-second", completed / seconds
-            )
-        self._refresh_runtime_gauges()
-        # Latency quantiles from the cross-process histograms, e.g.
-        # "service/job-seconds/p50" — refreshed on every stats request.
+        """Server-level ``repro-stats/1`` report with derived gauges.
+
+        Point-in-time gauges (queue depth, uptime, latency quantiles)
+        are refreshed on every read, so scrapes between jobs never see
+        stale values.
+        """
+        self.backend.refresh_gauges(
+            uptime=time.monotonic() - self._started_monotonic
+        )
         for name, value in self.metrics.quantile_gauges().items():
             self.recorder.gauge(name, value)
         self.recorder.meta["version"] = __version__
@@ -891,18 +403,56 @@ class CecServer:
         return to_prometheus_text(
             self.metrics.report(), stats_report=self.stats_report(),
             build_info={
-                "component": "repro-serve", "version": __version__,
+                "component": self.backend.component,
+                "version": __version__,
             },
         )
 
 
-def _trace_id_of(job):
-    recorder = getattr(job, "recorder", None)
-    context = recorder.trace_context if recorder is not None else None
-    return context.trace_id if context is not None else None
+def _listening_socket(family, target):
+    """Bind the listening socket now, so address errors surface in the
+    constructor and ``:0`` resolves to a real port before serving."""
+    if family == "unix":
+        if os.path.exists(target):
+            os.unlink(target)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    else:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        sock.bind(target)
+        sock.listen(128)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
-def _verdict_of(result_doc):
-    return {True: "equivalent", False: "not_equivalent"}.get(
-        result_doc.get("equivalent"), "undecided"
-    )
+def _non_negative(value, kinds):
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and value >= 0)
+
+
+def _field_error(verb, request):
+    """``(code, message)`` for a malformed request field, else None.
+
+    Checked once, before any backend sees the request: a bad budget
+    never reaches a worker and a bad wait never reaches a shard.
+    """
+    if verb == "submit":
+        for field, kinds, what in (
+            ("time_limit", (int, float), "a number"),
+            ("conflict_limit", int, "an integer"),
+        ):
+            value = request.get(field)
+            if value is not None and not _non_negative(value, kinds):
+                return protocol.ERR_BAD_INPUT, (
+                    "%s must be %s >= 0, got %r" % (field, what, value)
+                )
+    elif verb == "result":
+        timeout = request.get("timeout")
+        if timeout is not None and not _non_negative(timeout, (int, float)):
+            return protocol.ERR_INVALID_REQUEST, (
+                "timeout must be a number >= 0, got %r" % (timeout,)
+            )
+    return None

@@ -1,23 +1,22 @@
 """End-to-end tests of the fleet router over in-process shards.
 
 Two real :class:`CecServer` shards (``workers=0``) on Unix sockets
-sit behind a :class:`FleetRouter` running on a dedicated event-loop
-thread; an unmodified synchronous :class:`ServiceClient` talks to the
-router as if it were one server.
+sit behind a third :class:`CecServer` configured with ``shards=...``
+(the router); an unmodified synchronous :class:`ServiceClient` talks
+to the router as if it were one server.
 """
 
 import asyncio
 import io
 import json
 import socket
-import threading
 import urllib.request
 
 import pytest
 
 from repro.aig.aiger import read_aag, write_aag
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
-from repro.fleet import FleetRouter, HashRing
+from repro.fleet import HashRing
 from repro.instrument import Recorder
 from repro.service import CecServer, ServiceClient, ServiceError
 from repro.service import protocol
@@ -38,7 +37,7 @@ def adder_pair():
 
 
 class RouterHarness:
-    """A FleetRouter on its own event-loop thread, plus its shards."""
+    """A router (a CecServer over shards) plus its shards."""
 
     def __init__(self, tmp_path, **router_kwargs):
         self.addresses = [
@@ -48,26 +47,15 @@ class RouterHarness:
         for address in self.addresses:
             self.start_shard(address, tmp_path)
         self.router_address = str(tmp_path / "router.sock")
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True,
-        )
-        self.thread.start()
         router_kwargs.setdefault("health_interval", 0.2)
-        self.router = self.call(
-            self._start_router(self.router_address, router_kwargs)
+        self.router = CecServer(
+            self.router_address, shards=self.addresses, **router_kwargs
         )
+        self.router.start()
 
-    async def _start_router(self, address, kwargs):
-        router = FleetRouter(address, self.addresses, **kwargs)
-        await router.start()
-        return router
-
-    def call(self, coroutine, timeout=30.0):
-        """Run *coroutine* on the router loop from the test thread."""
-        return asyncio.run_coroutine_threadsafe(
-            coroutine, self.loop,
-        ).result(timeout)
+    def call(self, coroutine):
+        """Run *coroutine* to completion on the test thread."""
+        return asyncio.run(coroutine)
 
     def start_shard(self, address, tmp_path):
         cache_dir = str(tmp_path) + address.replace("/", "_") + ".cache"
@@ -84,10 +72,8 @@ class RouterHarness:
 
     def close(self):
         try:
-            self.call(self.router.close())
+            self.router.close()
         finally:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self.thread.join(timeout=10)
             for shard in self.shards.values():
                 shard.close()
 
@@ -148,6 +134,39 @@ class TestRouting:
             response = json.loads(sock.makefile("rb").readline())
         assert response["ok"] is False
         assert response["error"]["code"] == protocol.ERR_INVALID_REQUEST
+
+
+    def test_malformed_wait_timeout_never_marks_a_shard_down(
+        self, fleet, adder_pair,
+    ):
+        # Regression: the router forwarded a non-numeric result timeout,
+        # the shard's handler died on it, and two such requests took a
+        # healthy shard out of the ring.
+        with fleet.client() as client:
+            job = client.submit(*adder_pair)["job"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(fleet.router_address)
+            with sock.makefile("rwb") as stream:
+                for _ in range(2):
+                    stream.write(protocol.encode({
+                        "verb": "result", "job": job, "wait": True,
+                        "timeout": "abc",
+                    }))
+                    stream.flush()
+                    response = json.loads(stream.readline())
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == (
+                        protocol.ERR_INVALID_REQUEST
+                    )
+                stream.write(protocol.encode({"verb": "stats"}))
+                stream.flush()
+                stats = json.loads(stream.readline())["stats"]
+        assert stats["gauges"]["fleet/shards-up"] == 2
+        with fleet.client() as client:
+            result, _ = client.check(adder_pair[1], adder_pair[0])
+        assert result.equivalent is True
+        assert fleet.counters().get("fleet/shard-errors", 0) == 0
 
 
 class TestCrossShardCache:
@@ -399,3 +418,18 @@ class TestProgress:
         text = fleet.router.prometheus_text()
         assert 'repro_build_info{component="repro-router"' in text
         assert "repro_fleet_uptime_seconds" in text
+
+
+class TestRouterCli:
+    @pytest.mark.parametrize("option", [
+        ["--workers", "2"], ["--cache", "cache-dir"],
+    ])
+    def test_local_queue_options_are_refused(self, tmp_path, option, capsys):
+        from repro.fleet import router_cli
+
+        code = router_cli.main([
+            "--listen", str(tmp_path / "r.sock"),
+            "--shard", str(tmp_path / "s.sock"),
+        ] + option)
+        assert code == 3
+        assert "cannot be combined with --shard" in capsys.readouterr().err

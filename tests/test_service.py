@@ -327,6 +327,94 @@ class TestServerEndToEnd:
         assert report["meta"]["tool"] == "repro-serve"
 
 
+def _raw_exchange(sock_file, message):
+    """Send one request line; return the final response line."""
+    sock_file.write(protocol.encode(message))
+    sock_file.flush()
+    while True:
+        response = json.loads(sock_file.readline())
+        if response.get("final", True):
+            return response
+
+
+class TestRequestValidation:
+    def test_malformed_wait_timeout_keeps_the_connection(
+        self, server, adder_pair
+    ):
+        # Regression: a non-numeric result timeout used to kill the
+        # handler with a traceback and close the socket unanswered.
+        with ServiceClient(server.address) as client:
+            job = client.submit(*adder_pair)["job"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(server.address)
+            with sock.makefile("rwb") as stream:
+                for timeout in ("abc", True):
+                    response = _raw_exchange(stream, {
+                        "verb": "result", "job": job, "wait": True,
+                        "timeout": timeout,
+                    })
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == (
+                        protocol.ERR_INVALID_REQUEST
+                    )
+                submitted = _raw_exchange(stream, {
+                    "verb": "submit", "aag_a": adder_pair[1],
+                    "aag_b": adder_pair[0],
+                })
+                assert submitted["ok"] is True
+                final = _raw_exchange(stream, {
+                    "verb": "result", "job": submitted["job"], "wait": True,
+                    "timeout": 30,
+                })
+        assert final["verdict"] == "equivalent"
+
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", "10"),
+        ("time_limit", [1]),
+        ("time_limit", -1),
+        ("time_limit", True),
+        ("conflict_limit", "10"),
+        ("conflict_limit", [1]),
+        ("conflict_limit", -1),
+        ("conflict_limit", 2.5),
+        ("conflict_limit", False),
+    ])
+    def test_bad_budget_is_rejected_at_admission(
+        self, server, adder_pair, field, value
+    ):
+        with ServiceClient(server.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request({
+                    "verb": "submit", "aag_a": adder_pair[0],
+                    "aag_b": adder_pair[1], field: value,
+                })
+            assert excinfo.value.code == protocol.ERR_BAD_INPUT
+            assert field in str(excinfo.value)
+            counters = client.stats()["counters"]
+        # Rejected before a job existed: nothing was queued or run.
+        assert "service/jobs-submitted" not in counters
+        assert "service/jobs-completed" not in counters
+
+    def test_wait_wakes_when_the_job_ends_not_at_the_heartbeat(
+        self, tmp_path, adder_pair
+    ):
+        server = CecServer(
+            str(tmp_path / "w.sock"), workers=0, poll_interval=5.0,
+        )
+        server.start()
+        try:
+            with ServiceClient(server.address) as client:
+                submitted = client.submit(*adder_pair)
+                started = time.monotonic()
+                response = client.result(submitted["job"], wait=True)
+                waited = time.monotonic() - started
+        finally:
+            server.close()
+        assert response["verdict"] == "equivalent"
+        assert waited < 2.0, waited
+
+
 class TestCacheVerbs:
     """The ``repro-fleet/1`` cache protocol on a single shard."""
 
