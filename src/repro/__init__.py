@@ -18,24 +18,13 @@ Quickstart::
     certify(result)          # replays the resolution proof end to end
 """
 
+from ._lazy import lazy_exports
+
 __version__ = "1.1.0"
 
-_LAZY = {
-    "CecResult": ("repro.core.cec", "CecResult"),
-    "check_equivalence": ("repro.core.cec", "check_equivalence"),
-    "certify": ("repro.core.certify", "certify"),
-}
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.cec": ("CecResult", "check_equivalence"),
+    "repro.core.certify": ("certify",),
+})
 
-__all__ = sorted(_LAZY) + ["__version__"]
-
-
-def __getattr__(name):
-    """Lazy top-level exports so sub-packages import independently."""
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError("module 'repro' has no attribute %r" % name)
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)
+__all__ = ["CecResult", "__version__", "certify", "check_equivalence"]

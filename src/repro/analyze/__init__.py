@@ -29,26 +29,18 @@ tests reach for: ``repro-lint/1`` (here), plus re-exports of the
 validators from :mod:`repro.instrument` so one import site covers
 every versioned JSON artifact the tools emit.
 
-Only :mod:`~repro.analyze.schemas` and
-:mod:`~repro.analyze.findings` load eagerly; everything else resolves
-lazily (PEP 562). That keeps this package a safe leaf dependency: low
-layers like :mod:`repro.instrument.recorder` import their schema tags
-from ``repro.analyze.schemas`` without dragging in — or cycling
-through — the analysis passes themselves.
+Only :mod:`~repro.analyze.schemas` loads eagerly; everything else
+resolves lazily (PEP 562, :mod:`repro._lazy`). That keeps this package
+a safe leaf dependency: low layers like
+:mod:`repro.instrument.recorder` import their schema tags from
+``repro.analyze.schemas`` without dragging in — or cycling through —
+the analysis passes themselves.
 """
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_exports
 from . import schemas  # noqa: F401  (the eager leaf: schema registry)
-from .findings import (
-    ERROR,
-    INFO,
-    LINT_SCHEMA,
-    WARNING,
-    Finding,
-    LintReport,
-    validate_lint_report,
-)
 
 if TYPE_CHECKING:  # resolved lazily at runtime via __getattr__
     from ..instrument.metrics import validate_metrics_report
@@ -56,25 +48,27 @@ if TYPE_CHECKING:  # resolved lazily at runtime via __getattr__
     from ..instrument.tracing import validate_trace_report
     from .aig_lint import lint_aig, lint_encoding, lint_miter
     from .ast_rules import lint_file, lint_package, lint_source
+    from .findings import (
+        ERROR,
+        INFO,
+        LINT_SCHEMA,
+        WARNING,
+        Finding,
+        LintReport,
+        validate_lint_report,
+    )
     from .proof_lint import lint_drup_file, lint_proof, lint_tracecheck_file
 
-#: Lazy exports: public name -> (module, attribute).
-_LAZY = {
-    "lint_aig": (".aig_lint", "lint_aig"),
-    "lint_encoding": (".aig_lint", "lint_encoding"),
-    "lint_miter": (".aig_lint", "lint_miter"),
-    "lint_file": (".ast_rules", "lint_file"),
-    "lint_package": (".ast_rules", "lint_package"),
-    "lint_source": (".ast_rules", "lint_source"),
-    "lint_drup_file": (".proof_lint", "lint_drup_file"),
-    "lint_proof": (".proof_lint", "lint_proof"),
-    "lint_tracecheck_file": (".proof_lint", "lint_tracecheck_file"),
-    "validate_metrics_report": ("..instrument.metrics",
-                                "validate_metrics_report"),
-    "validate_stats_report": ("..instrument.recorder", "validate_report"),
-    "validate_trace_report": ("..instrument.tracing",
-                              "validate_trace_report"),
-}
+__getattr__ = lazy_exports(__name__, {
+    ".aig_lint": ("lint_aig", "lint_encoding", "lint_miter"),
+    ".ast_rules": ("lint_file", "lint_package", "lint_source"),
+    ".findings": ("ERROR", "INFO", "LINT_SCHEMA", "WARNING", "Finding",
+                  "LintReport", "validate_lint_report"),
+    ".proof_lint": ("lint_drup_file", "lint_proof", "lint_tracecheck_file"),
+    "..instrument.metrics": ("validate_metrics_report",),
+    "..instrument.recorder": (("validate_stats_report", "validate_report"),),
+    "..instrument.tracing": ("validate_trace_report",),
+})
 
 __all__ = [
     "ERROR",
@@ -99,15 +93,3 @@ __all__ = [
     "validate_trace_report",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module %r has no attribute %r" % (__name__, name)
-        )
-    import importlib
-
-    module = importlib.import_module(module_name, __name__)
-    return getattr(module, attr)

@@ -13,8 +13,6 @@ import sys
 
 from . import __version__
 from .aig.aiger import read_auto
-from .baselines.bdd_cec import bdd_check
-from .baselines.monolithic import monolithic_check
 from .core.cec import check_equivalence
 from .core.certify import CertificationError, certify
 from .core.fraig import SweepOptions
@@ -24,9 +22,7 @@ from .exit_codes import (
     EXIT_OK,
     EXIT_UNDECIDED,
 )
-from .instrument import NULL_RECORDER, Budget, Recorder, maybe_profile
-from .proof.drup import write_drup
-from .proof.stats import proof_stats
+from .instrument import NULL_RECORDER, Budget, Recorder
 from .proof.trim import trim
 
 
@@ -173,7 +169,12 @@ def main(argv=None):
             time_limit=args.time_limit, conflict_limit=args.conflict_limit
         )
     try:
-        with maybe_profile(args.profile):
+        if args.profile:
+            from .instrument.profiling import maybe_profile
+
+            with maybe_profile(args.profile):
+                code = _dispatch(aig_a, aig_b, args, recorder, budget)
+        else:
             code = _dispatch(aig_a, aig_b, args, recorder, budget)
         recorder.meta["exit_code"] = code
     finally:
@@ -307,6 +308,8 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
     if args.engine == "bddsweep":
         return _run_bdd_sweep(aig_a, aig_b, args)
     if args.engine == "monolithic":
+        from .baselines.monolithic import monolithic_check
+
         result = monolithic_check(
             aig_a, aig_b, proof=True, recorder=recorder, budget=budget
         )
@@ -314,7 +317,11 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
             result.equivalent, result.counterexample, result.proof,
             result.cnf, args, recorder=recorder, budget=budget,
         )
-    options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
+    try:
+        options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     if args.match_names:
         from .aig.miter import match_interfaces_by_name
 
@@ -426,6 +433,8 @@ def _run_per_output(aig_a, aig_b, options, recorder=None, budget=None):
 
 
 def _run_bdd(aig_a, aig_b, args):
+    from .baselines.bdd_cec import bdd_check
+
     result = bdd_check(aig_a, aig_b)
     if result.equivalent is None:
         print("UNDECIDED (BDD node budget exceeded)")
@@ -455,6 +464,8 @@ def _report(equivalent, counterexample, proof, cnf, args, recorder=None,
         return EXIT_NEGATIVE
     print("EQUIVALENT")
     if proof is not None and not args.quiet:
+        from .proof.stats import proof_stats
+
         stats = proof_stats(proof)
         print(
             "proof: %d clauses (%d axioms, %d derived), %d resolutions"
@@ -466,6 +477,8 @@ def _report(equivalent, counterexample, proof, cnf, args, recorder=None,
             )
         )
     if args.proof and proof is not None:
+        from .proof.drup import write_drup
+
         to_write = proof
         if not args.no_trim:
             to_write, _ = trim(proof, recorder=recorder)

@@ -107,9 +107,16 @@ def check_equivalence(aig_a, aig_b, options=None, match_names=False,
         miter.aig, options or SweepOptions(), recorder=recorder,
         budget=budget,
     )
-    with recorder.phase("cec/sweep"):
-        engine.sweep()
     out_lit = miter.output
+    if engine.sim.lit_signature(out_lit):
+        # The initial random patterns already tell the outputs apart:
+        # that is the verdict, so no candidate needs a SAT call.
+        # Refinement only appends patterns, so _conclude picks the same
+        # counterexample a full sweep would have led to.
+        recorder.count("cec/sim_refuted")
+    else:
+        with recorder.phase("cec/sweep"):
+            engine.sweep()
     with recorder.phase("cec/conclude"):
         result = _conclude(miter, engine, out_lit, budget)
     result.elapsed_seconds = time.perf_counter() - start

@@ -68,6 +68,10 @@ class SweepOptions:
         proof: when false, skip all proof logging (timing baseline).
         validate_proof: validate every derivation at insertion (slow;
             tests only).
+
+    Raises:
+        ValueError: on a value of the wrong type (a bool is not an int)
+            or out of range, so a bad request fails before any work.
     """
 
     def __init__(
@@ -84,8 +88,17 @@ class SweepOptions:
     ):
         if structural_mode not in ("resolution", "sat", "off"):
             raise ValueError("bad structural_mode %r" % structural_mode)
-        if not isinstance(refine_batch, int) or refine_batch < 0:
-            raise ValueError("refine_batch must be a non-negative int")
+        _require_int("sim_words", sim_words, minimum=0)
+        _require_int("seed", seed)
+        _require_int("cex_neighbors", cex_neighbors, minimum=0)
+        _require_int("refine_batch", refine_batch, minimum=0)
+        if max_conflicts is not None:
+            _require_int("max_conflicts", max_conflicts, minimum=0)
+        for name, value in (("use_simulation", use_simulation),
+                            ("proof", proof),
+                            ("validate_proof", validate_proof)):
+            if not isinstance(value, bool):
+                raise ValueError("%s must be a bool, not %r" % (name, value))
         self.sim_words = sim_words
         self.seed = seed
         self.structural_mode = structural_mode
@@ -95,6 +108,14 @@ class SweepOptions:
         self.max_conflicts = max_conflicts
         self.proof = proof
         self.validate_proof = validate_proof
+
+
+def _require_int(name, value, minimum=None):
+    # bool is an int subclass, but True is no word count or seed.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an int, not %r" % (name, value))
+    if minimum is not None and value < minimum:
+        raise ValueError("%s must be >= %d, not %d" % (name, minimum, value))
 
 
 class SweepStats:
@@ -119,7 +140,8 @@ class SweepStats:
         # Refinement patterns absorbed (counterexamples + neighbours).
         self.refine_patterns = 0
         # Total full-AIG simulation passes, initial pass included
-        # (mirrors Simulator.num_resimulations at the end of the sweep).
+        # (mirrors Simulator.num_resimulations after construction and
+        # at the end of the sweep).
         self.sim_passes = 0
         self.skipped_candidates = 0
         self.sweep_seconds = 0.0
@@ -199,6 +221,7 @@ class SweepEngine:
                 ),
                 seed=self.options.seed,
             )
+        self.stats.sim_passes = self.sim.num_resimulations
         # Union-find (single level): AIG var -> representative AIG literal.
         self._parent = [2 * var for var in range(aig.num_vars)]
         # AIG var -> EquivLemma (None while the var is its own root).

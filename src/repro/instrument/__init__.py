@@ -20,41 +20,63 @@ Both are opt-in: every instrumented API accepts ``recorder=None`` /
 free of instrumentation overhead when disabled.
 """
 
-from .budget import Budget, BudgetExhausted
-from .logs import JsonLogFormatter, configure_logging, get_logger
-from .metrics import (
-    METRICS_SCHEMA,
-    Histogram,
-    MetricsRegistry,
-    to_prometheus_text,
-    validate_metrics_report,
-)
-from .phases import PHASE_REGISTRY, is_registered
-from .profiling import maybe_profile
-from .progress import (
-    PROGRESS_SCHEMA,
-    ProgressTracker,
-    estimate_eta_band,
-    format_heartbeat,
-    jsonl_sink,
-    latest_heartbeat,
-    read_heartbeats,
-    validate_progress,
-)
-from .recorder import NULL_RECORDER, Recorder, STATS_SCHEMA
-from .timeseries import (
-    RingSeries,
-    SLOTracker,
-    TailSampler,
-    TimeSeriesStore,
-)
-from .tracing import (
-    TRACE_SCHEMA,
-    TraceContext,
-    to_chrome_trace,
-    to_collapsed_stacks,
-    validate_trace_report,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # resolved lazily at runtime via __getattr__
+    from .budget import Budget, BudgetExhausted
+    from .logs import JsonLogFormatter, configure_logging, get_logger
+    from .metrics import (
+        METRICS_SCHEMA,
+        Histogram,
+        MetricsRegistry,
+        to_prometheus_text,
+        validate_metrics_report,
+    )
+    from .phases import PHASE_REGISTRY, is_registered
+    from .profiling import maybe_profile
+    from .progress import (
+        PROGRESS_SCHEMA,
+        ProgressTracker,
+        estimate_eta_band,
+        format_heartbeat,
+        jsonl_sink,
+        latest_heartbeat,
+        read_heartbeats,
+        validate_progress,
+    )
+    from .recorder import NULL_RECORDER, STATS_SCHEMA, Recorder
+    from .timeseries import (
+        RingSeries,
+        SLOTracker,
+        TailSampler,
+        TimeSeriesStore,
+    )
+    from .tracing import (
+        TRACE_SCHEMA,
+        TraceContext,
+        to_chrome_trace,
+        to_collapsed_stacks,
+        validate_trace_report,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    ".budget": ("Budget", "BudgetExhausted"),
+    ".logs": ("JsonLogFormatter", "configure_logging", "get_logger"),
+    ".metrics": ("METRICS_SCHEMA", "Histogram", "MetricsRegistry",
+                 "to_prometheus_text", "validate_metrics_report"),
+    ".phases": ("PHASE_REGISTRY", "is_registered"),
+    ".profiling": ("maybe_profile",),
+    ".progress": ("PROGRESS_SCHEMA", "ProgressTracker", "estimate_eta_band",
+                  "format_heartbeat", "jsonl_sink", "latest_heartbeat",
+                  "read_heartbeats", "validate_progress"),
+    ".recorder": ("NULL_RECORDER", "STATS_SCHEMA", "Recorder"),
+    ".timeseries": ("RingSeries", "SLOTracker", "TailSampler",
+                    "TimeSeriesStore"),
+    ".tracing": ("TRACE_SCHEMA", "TraceContext", "to_chrome_trace",
+                 "to_collapsed_stacks", "validate_trace_report"),
+})
 
 __all__ = [
     "Budget",

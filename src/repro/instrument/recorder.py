@@ -47,17 +47,11 @@ from typing import (
     Optional,
 )
 
-from .tracing import (
-    Span,
-    TraceContext,
-    make_trace_document,
-    new_span_id,
-)
-
 from ..analyze.schemas import STATS_SCHEMA as STATS_SCHEMA  # registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .progress import ProgressTracker
+    from .tracing import Span, TraceContext
 
 
 class Recorder:
@@ -146,6 +140,8 @@ class Recorder:
         parent_id: Optional[str] = None
         wall_start = 0.0
         if ctx is not None:
+            from .tracing import new_span_id
+
             span_id = new_span_id()
             span_stack = self._span_stack
             parent_id = span_stack[-1] if span_stack else ctx.parent_id
@@ -204,6 +200,10 @@ class Recorder:
         Returns the active context. Tracing is opt-in and idempotent:
         calling again replaces the context but keeps recorded spans.
         """
+        # Tracing (uuid, platform) loads with the first trace, so
+        # untraced runs never import it.
+        from .tracing import TraceContext
+
         with self._lock:
             self._trace_ctx = context if context is not None \
                 else TraceContext.new()
@@ -265,6 +265,8 @@ class Recorder:
         """
         if self._trace_ctx is None:
             return None
+        from .tracing import new_span_id
+
         sid = span_id if span_id is not None else new_span_id()
         self._append_span(
             name,
@@ -283,6 +285,8 @@ class Recorder:
         ctx = self._trace_ctx
         if ctx is None:
             return None
+        from .tracing import make_trace_document
+
         return make_trace_document(ctx.trace_id, self.spans())
 
     # ------------------------------------------------------------------
@@ -441,6 +445,8 @@ class _NullRecorder(Recorder):
     ) -> TraceContext:
         # Hand back a context so callers can propagate it, but record
         # nothing: the null recorder stays free of per-phase work.
+        from .tracing import TraceContext
+
         return context if context is not None else TraceContext.new()
 
     def add_span(

@@ -12,21 +12,21 @@ Entry points: ``repro-serve`` (:mod:`repro.service.serve_cli`) and
 --server ADDR`` routes a normal check through a server.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .cache import ProofCache, cache_key, canonical_options
 from .client import ServiceClient, ServiceError
 from .jobs import Job, JobTable, QueueFullError
 from .protocol import PROTOCOL_SCHEMA, ProtocolError
 from .worker import execute_job
 
+if TYPE_CHECKING:  # resolved lazily at runtime via __getattr__
+    from .server import CecServer
 
-def __getattr__(name):
-    # The server pulls in asyncio; clients (repro-client, repro-cec
-    # --server) import this package and must not pay for it.
-    if name == "CecServer":
-        from .server import CecServer
-
-        return CecServer
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+# The server pulls in asyncio; clients (repro-client, repro-cec
+# --server) import this package and must not pay for it.
+__getattr__ = lazy_exports(__name__, {".server": ("CecServer",)})
 
 __all__ = [
     "CecServer",

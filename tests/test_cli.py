@@ -188,14 +188,85 @@ class TestServerPassthrough:
         assert "error:" in capsys.readouterr().err
 
 
+#: Modules no ``repro-cec`` run on the default sweep engine executes:
+#: a fresh ``import repro.cli`` must not load them.
+OFF_CLI_PATH = [
+    "multiprocessing",
+    "logging",
+    "uuid",
+    "repro.baselines",
+    "repro.bdd",
+    "repro.sat.reference",
+    "repro.instrument.metrics",
+    "repro.instrument.logs",
+    "repro.instrument.progress",
+    "repro.instrument.timeseries",
+    "repro.instrument.tracing",
+    "repro.instrument.profiling",
+    "repro.analyze.findings",
+    "repro.proof.compress",
+    "repro.proof.interpolant",
+    "repro.proof.tracecheck",
+    "repro.aig.cuts",
+    "repro.aig.dot",
+    "repro.aig.npn",
+    "repro.aig.structhash",
+]
+
+#: Packages whose ``__all__`` names resolve through repro._lazy.
+PACKAGES = [
+    "repro", "repro.aig", "repro.analyze", "repro.baselines", "repro.cnf",
+    "repro.core", "repro.instrument", "repro.proof", "repro.sat",
+    "repro.service",
+]
+
+
+def _fresh_modules(statement):
+    """``sys.modules`` of a fresh interpreter after *statement*."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         statement + "; import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout)
+
+
 class TestStartup:
-    def test_import_does_not_load_multiprocessing(self):
+    def test_import_loads_only_the_run_path(self):
         # Every repro-cec process pays for what ``import repro.cli``
-        # pulls in; process-pool machinery has no place on that path.
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        subprocess.run(
-            [sys.executable, "-c",
-             "import repro.cli, sys; "
-             "assert 'multiprocessing' not in sys.modules"],
-            env=env, check=True,
+        # pulls in: baselines, the reference solver, metrics, tracing
+        # and logging have no place on that path.
+        loaded = set(_fresh_modules("import repro.cli"))
+        assert sorted(loaded.intersection(OFF_CLI_PATH)) == []
+        repro_modules = [name for name in loaded
+                         if name == "repro" or name.startswith("repro.")]
+        assert len(repro_modules) <= 30, sorted(repro_modules)
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_resolves(self, package):
+        # A name that does not resolve raises in the fresh interpreter,
+        # which fails the run.
+        _fresh_modules(
+            "import importlib; module = importlib.import_module(%r); "
+            "[getattr(module, name) for name in module.__all__]" % package
         )
+
+    def test_exports_that_name_a_submodule_are_callables(self):
+        import repro.core
+        import repro.proof
+
+        # Each is both a submodule and the function it exports; the
+        # package attribute must be the function.
+        assert callable(repro.core.certify)
+        assert callable(repro.proof.trim)
+        from repro.core import certify
+        from repro.proof import trim
+
+        assert callable(certify) and callable(trim)
+
+    def test_unknown_export_is_an_attribute_error(self):
+        import repro.core
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.core.no_such_name

@@ -31,6 +31,10 @@ from repro.service import (
 )
 from repro.service import protocol
 
+SRC_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "src")
+)
+
 
 def aag_text(aig):
     buffer = io.StringIO()
@@ -415,6 +419,67 @@ class TestRequestValidation:
         assert waited < 2.0, waited
 
 
+BAD_OPTIONS = [
+    ("sim_words", "x"),
+    ("sim_words", True),
+    ("sim_words", -1),
+    ("sim_words", 2.0),
+    ("seed", "7"),
+    ("seed", None),
+    ("cex_neighbors", -2),
+    ("refine_batch", False),
+    ("max_conflicts", "5"),
+    ("max_conflicts", -1),
+    ("use_simulation", "yes"),
+    ("proof", 1),
+    ("validate_proof", None),
+]
+
+
+@pytest.fixture(scope="module")
+def backends(tmp_path_factory):
+    """A local ``workers=0`` server and a server over one such shard."""
+    base = tmp_path_factory.mktemp("backends")
+    local = CecServer(str(base / "local.sock"), workers=0)
+    shard = CecServer(str(base / "shard.sock"), workers=0)
+    router = CecServer(
+        str(base / "router.sock"), shards=[shard.address],
+        health_interval=0.2,
+    )
+    servers = [local, shard, router]
+    try:
+        for server in servers:
+            server.start()
+        yield {"local": (local, local), "shards": (router, shard)}
+    finally:
+        for server in reversed(servers):
+            server.close()
+
+
+class TestOptionAdmission:
+    @pytest.mark.parametrize("backend", ["local", "shards"])
+    @pytest.mark.parametrize("field, value", BAD_OPTIONS)
+    def test_bad_option_value_is_rejected_at_admission(
+        self, backends, adder_pair, backend, field, value
+    ):
+        front, worker_side = backends[backend]
+
+        def jobs_run():
+            counters = worker_side.stats_report()["counters"]
+            return (counters.get("service/jobs-completed", 0)
+                    + counters.get("service/jobs-failed", 0))
+
+        before = jobs_run()
+        with ServiceClient(front.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(*adder_pair, options={field: value})
+        assert excinfo.value.code == protocol.ERR_BAD_INPUT
+        assert field in str(excinfo.value)
+        # Answered before a job existed: nothing ran, nothing was routed.
+        assert jobs_run() == before
+        assert "fleet/jobs-routed" not in front.stats_report()["counters"]
+
+
 class TestCacheVerbs:
     """The ``repro-fleet/1`` cache protocol on a single shard."""
 
@@ -633,6 +698,30 @@ class TestClientRetrySemantics:
         )
         with pytest.raises(OSError):
             client.ping()
+
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path):
+        # Every failed attempt must close the socket it made: run with
+        # ResourceWarning as an error, an unclosed one is reported.
+        script = (
+            "import gc, sys\n"
+            "from repro.service import ServiceClient\n"
+            "client = ServiceClient(sys.argv[1], retries=2, backoff=0.0)\n"
+            "try:\n"
+            "    client.ping()\n"
+            "except OSError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('connected to a missing socket')\n"
+            "gc.collect()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script,
+             str(tmp_path / "missing.sock")],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 class TestClientBackoff:
